@@ -2,9 +2,10 @@
 
 The library ranks candidate lists with a comparison oracle (ground-truth
 scores, seeded noise, or a pairwise-prompting LLM backend) using three
-instrumented algorithms: heapsort, bubblesort with an optional memo cache,
-and batched partial quicksort. Every run is accounted in comparisons and
-inference calls, the cost unit that dominates LLM-based reranking.
+instrumented algorithms: heapsort, bubblesort (optionally with a caching
+executor), and batched partial quicksort. Every run is accounted in
+comparisons and inference calls, the cost unit that dominates LLM-based
+reranking.
 """
 
 from importlib.metadata import PackageNotFoundError, version
@@ -37,7 +38,6 @@ from .datasets import (
 from .errors import (
     AggregateMismatch,
     BackendFailure,
-    CountOverflow,
     EmptySample,
     FormatError,
     IdenticalPair,
@@ -70,7 +70,6 @@ from .model import (
     PairKey,
     Preference,
     canonical_pair,
-    ledger_merge,
 )
 from .oracles import (
     BatchExecutor,
@@ -78,7 +77,6 @@ from .oracles import (
     DEFAULT_PROMPT_TEMPLATE,
     LlmEndpoint,
     LlmOracle,
-    MemoizedOracle,
     NoisyOracle,
     Oracle,
     ScoreOracle,
@@ -98,7 +96,6 @@ __all__ = [
     "ComparisonRequest",
     "CostLedger",
     "CostStats",
-    "CountOverflow",
     "DEFAULT_PROMPT_TEMPLATE",
     "Dataset",
     "DocId",
@@ -111,7 +108,6 @@ __all__ = [
     "InvalidConfig",
     "LlmEndpoint",
     "LlmOracle",
-    "MemoizedOracle",
     "MissingText",
     "NoisyOracle",
     "Oracle",
@@ -138,7 +134,6 @@ __all__ = [
     "emit_report",
     "generate_synthetic",
     "heapsort_topk",
-    "ledger_merge",
     "llm_compare_batch",
     "load_config",
     "load_id_text_tsv",

@@ -4,9 +4,9 @@ Every oracle question flows through a BatchExecutor, so each run yields a
 ranking plus a filled CostLedger. Heapsort and Bubblesort are inherently
 sequential (every comparison gates the next one), which is why they accept
 only batch size 1 and why asking them to batch is an error rather than a
-no-op. Bubblesort is the one algorithm allowed to cache, because its
-adjacent sweeps re-ask the same pairs across passes; Quicksort is the one
-allowed to batch, through its all-vs-pivot partitions.
+no-op. Bubblesort is the one algorithm that accepts a caching executor,
+because its adjacent sweeps re-ask the same pairs across passes; Quicksort is
+the one allowed to batch, through its all-vs-pivot partitions.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidConfig
 from .model import CostLedger, DocId, Preference
-from .oracles import BatchExecutor, ComparisonRequest, MemoizedOracle, Oracle
+from .oracles import BatchExecutor, ComparisonRequest, Oracle
 from .seeding import stable_seed
 
 
@@ -102,11 +102,12 @@ def _sequential_executor(executor: BatchExecutor | None) -> BatchExecutor:
     return executor
 
 
-def _reject_memoized(oracle: Oracle) -> None:
-    # Caching is an algorithm-level option (Bubblesort only), not something a
-    # caller may smuggle in through a pre-wrapped oracle.
-    if isinstance(oracle, MemoizedOracle):
-        raise InvalidConfig("pass the base oracle; caching is requested via use_cache")
+def _uncached(executor: BatchExecutor) -> BatchExecutor:
+    # Caching is a Bubblesort option (its sweeps re-ask pairs); anywhere else
+    # it is a misconfiguration, not a silent no-op.
+    if executor.use_cache:
+        raise InvalidConfig("this algorithm cannot cache; pass an executor without use_cache")
+    return executor
 
 
 def heapsort_topk(
@@ -122,8 +123,7 @@ def heapsort_topk(
     rules out batching and caching here. Returns the k extracted ids in
     extraction order (most relevant first).
     """
-    executor = _sequential_executor(executor)
-    _reject_memoized(oracle)
+    executor = _uncached(_sequential_executor(executor))
     heap = _checked_items(items)
     n = len(heap)
     k = _clamp_k(k, n)
@@ -161,7 +161,6 @@ def bubblesort_topk(
     items: Iterable[DocId],
     k: int,
     oracle: Oracle,
-    use_cache: bool = False,
     executor: BatchExecutor | None = None,
 ) -> tuple[list[DocId], CostLedger]:
     """Up to k adjacent-sweep passes; pass p bubbles the best remaining item
@@ -169,14 +168,11 @@ def bubblesort_topk(
     early after a swap-free pass.
 
     Comparisons are singleton groups because a swap changes the next pair,
-    so there is nothing independent to batch. With use_cache the oracle is
-    wrapped in a run-scoped memo: the pair sequence, outcomes and ranking
-    are identical to the classic run, only the hit/call split differs.
+    so there is nothing independent to batch. Given a caching executor, the
+    pair sequence, outcomes and ranking are identical to the classic run;
+    only the hit/call split differs.
     """
     executor = _sequential_executor(executor)
-    _reject_memoized(oracle)
-    if use_cache:
-        oracle = MemoizedOracle(oracle)
     order = _checked_items(items)
     n = len(order)
     k = _clamp_k(k, n)
@@ -285,9 +281,7 @@ def quicksort_topk(
     only how misses are chunked into calls, so the ranking is invariant
     across batch sizes.
     """
-    if executor is None:
-        executor = BatchExecutor(batch_size=1)
-    _reject_memoized(oracle)
+    executor = _uncached(BatchExecutor() if executor is None else executor)
     order = _checked_items(items)
     n = len(order)
     k = _clamp_k(k, n)
@@ -314,7 +308,9 @@ def run_algorithm(
     if config.algorithm is Algorithm.HEAPSORT:
         return heapsort_topk(items, config.k, oracle)
     if config.algorithm is Algorithm.BUBBLESORT:
-        return bubblesort_topk(items, config.k, oracle, use_cache=config.use_cache)
+        return bubblesort_topk(
+            items, config.k, oracle, BatchExecutor(use_cache=config.use_cache)
+        )
     return quicksort_topk(
         items,
         config.k,

@@ -9,10 +9,6 @@ class IdenticalPair(RankingError):
     """A pairwise operation received the same document on both sides."""
 
 
-class CountOverflow(RankingError):
-    """A ledger count left the 64-bit non-negative range."""
-
-
 class UnknownDoc(RankingError):
     """An oracle was asked about a document it knows nothing about."""
 

@@ -29,6 +29,7 @@ from .datasets import (
 )
 from .errors import AggregateMismatch, BackendFailure, InvalidConfig
 from .metrics import aggregate, ndcg_at_k, percent_gain
+from .model import CostLedger
 from .oracles import LlmEndpoint, LlmOracle, NoisyOracle, Oracle, ScoreOracle
 from .seeding import stable_seed
 
@@ -93,7 +94,8 @@ class QueryRow:
 @dataclass
 class AggregateRow:
     """Per algorithm-config statistics over the ok rows, plus the percentage
-    gain in mean inference calls against the row's named baseline."""
+    gain in mean inference calls against the row's named baseline. The
+    statistics stay None when no row is ok."""
 
     algorithm: str
     k: int
@@ -103,14 +105,14 @@ class AggregateRow:
     partial: bool | None
     n_queries: int
     failures: int
-    mean_comparisons: float | None
-    sd_comparisons: float | None
-    mean_inference_calls: float | None
-    sd_inference_calls: float | None
-    mean_cache_hits: float | None
-    mean_ndcg: float | None
-    baseline: str | None
-    gain_pct: float | None
+    mean_comparisons: float | None = None
+    sd_comparisons: float | None = None
+    mean_inference_calls: float | None = None
+    sd_inference_calls: float | None = None
+    mean_cache_hits: float | None = None
+    mean_ndcg: float | None = None
+    baseline: str | None = None
+    gain_pct: float | None = None
 
 
 @dataclass
@@ -227,6 +229,12 @@ def _validate_config(config: ExperimentConfig) -> None:
         raise InvalidConfig("synthetic datasets carry no text; use the score or noisy oracle")
     if config.oracle.kind == "llm" and config.oracle.endpoint is None:
         raise InvalidConfig("llm oracle requires an endpoint")
+    # Aggregates are grouped by label, so two entries sharing one would be
+    # silently merged into a single row.
+    labels = [algo.label() for algo in config.algorithms]
+    duplicates = sorted({label for label in labels if labels.count(label) > 1})
+    if duplicates:
+        raise InvalidConfig(f"algorithm entries share the labels {duplicates}")
 
 
 def _load_dataset(config: ExperimentConfig) -> Dataset:
@@ -309,44 +317,26 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     [c.doc for c in query.candidates], cell, oracle
                 )
             except BackendFailure:
-                rows.append(
-                    QueryRow(
-                        query_id=query.qid,
-                        algorithm=label,
-                        status="failed",
-                        k=algo.k,
-                        batch_size=algo.batch_size,
-                        pivot=pivot,
-                        cached=algo.use_cache,
-                        partial=partial,
-                        comparisons=None,
-                        inference_calls=None,
-                        cache_hits=None,
-                        batch_groups=None,
-                        ndcg=None,
-                    )
+                status, counts, ndcg = "failed", dict.fromkeys(CostLedger().as_dict()), None
+            else:
+                status, counts = "ok", ledger.as_dict()
+                ndcg = (
+                    ndcg_at_k(ranking, dataset.grades, query.qid, config.k)
+                    if has_grades
+                    else None
                 )
-                continue
-            ndcg = (
-                ndcg_at_k(ranking, dataset.grades, query.qid, config.k)
-                if has_grades
-                else None
-            )
             rows.append(
                 QueryRow(
                     query_id=query.qid,
                     algorithm=label,
-                    status="ok",
+                    status=status,
                     k=algo.k,
                     batch_size=algo.batch_size,
                     pivot=pivot,
                     cached=algo.use_cache,
                     partial=partial,
-                    comparisons=ledger.comparisons,
-                    inference_calls=ledger.inference_calls,
-                    cache_hits=ledger.cache_hits,
-                    batch_groups=ledger.batch_groups,
                     ndcg=ndcg,
+                    **counts,
                 )
             )
     return ExperimentReport(rows=rows, aggregates=compute_aggregates(rows))
@@ -371,53 +361,32 @@ def compute_aggregates(rows: list[QueryRow]) -> list[AggregateRow]:
         group = groups[label]
         ok = [r for r in group if r.status == "ok"]
         sample = group[0]
+        stats: dict[str, float | None] = {}
         if ok:
             comp = aggregate([r.comparisons for r in ok])
             calls = aggregate([r.inference_calls for r in ok])
-            hits = aggregate([r.cache_hits for r in ok])
             ndcg_values = [r.ndcg for r in ok if r.ndcg is not None]
-            mean_ndcg = aggregate(ndcg_values).mean if ndcg_values else None
-            aggregates.append(
-                AggregateRow(
-                    algorithm=label,
-                    k=sample.k,
-                    batch_size=sample.batch_size,
-                    pivot=sample.pivot,
-                    cached=sample.cached,
-                    partial=sample.partial,
-                    n_queries=len(ok),
-                    failures=len(group) - len(ok),
-                    mean_comparisons=comp.mean,
-                    sd_comparisons=comp.sd,
-                    mean_inference_calls=calls.mean,
-                    sd_inference_calls=calls.sd,
-                    mean_cache_hits=hits.mean,
-                    mean_ndcg=mean_ndcg,
-                    baseline=None,
-                    gain_pct=None,
-                )
+            stats = dict(
+                mean_comparisons=comp.mean,
+                sd_comparisons=comp.sd,
+                mean_inference_calls=calls.mean,
+                sd_inference_calls=calls.sd,
+                mean_cache_hits=aggregate([r.cache_hits for r in ok]).mean,
+                mean_ndcg=aggregate(ndcg_values).mean if ndcg_values else None,
             )
-        else:
-            aggregates.append(
-                AggregateRow(
-                    algorithm=label,
-                    k=sample.k,
-                    batch_size=sample.batch_size,
-                    pivot=sample.pivot,
-                    cached=sample.cached,
-                    partial=sample.partial,
-                    n_queries=0,
-                    failures=len(group),
-                    mean_comparisons=None,
-                    sd_comparisons=None,
-                    mean_inference_calls=None,
-                    sd_inference_calls=None,
-                    mean_cache_hits=None,
-                    mean_ndcg=None,
-                    baseline=None,
-                    gain_pct=None,
-                )
+        aggregates.append(
+            AggregateRow(
+                algorithm=label,
+                k=sample.k,
+                batch_size=sample.batch_size,
+                pivot=sample.pivot,
+                cached=sample.cached,
+                partial=sample.partial,
+                n_queries=len(ok),
+                failures=len(group) - len(ok),
+                **stats,
             )
+        )
     by_label = {a.algorithm: a for a in aggregates}
     for agg in aggregates:
         baseline = None

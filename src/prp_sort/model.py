@@ -10,11 +10,9 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import CountOverflow, IdenticalPair
+from .errors import IdenticalPair
 
 DocId = str
-
-MAX_COUNT = 2**63 - 1
 
 
 class Preference(Enum):
@@ -46,7 +44,7 @@ class PairKey(NamedTuple):
     """Canonical identity of an unordered document pair.
 
     ``flipped`` records whether the originating request named the pair in
-    reverse (hi before lo), so cached outcomes can be re-oriented.
+    reverse (hi before lo).
     """
 
     lo: DocId
@@ -78,26 +76,6 @@ class CostLedger:
     cache_hits: int = 0
     batch_groups: int = 0
 
-    @property
-    def inference_resolved(self) -> int:
-        """Comparisons answered by an inference rather than by the cache."""
-        return self.comparisons - self.cache_hits
-
     def as_dict(self) -> dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-
-def ledger_merge(a: CostLedger, b: CostLedger) -> CostLedger:
-    """Field-wise sum of two ledgers.
-
-    Associative and commutative; merging with a zero ledger is the identity.
-    Counts are confined to the non-negative 64-bit range so that harness
-    aggregation across many queries cannot silently wrap.
-    """
-    merged = CostLedger()
-    for f in fields(CostLedger):
-        total = getattr(a, f.name) + getattr(b, f.name)
-        if total > MAX_COUNT:
-            raise CountOverflow(f"{f.name} exceeds the 64-bit count range")
-        setattr(merged, f.name, total)
-    return merged

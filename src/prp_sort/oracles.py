@@ -2,8 +2,9 @@
 
 Oracles answer ordered pairwise relevance questions. The executor is the one
 place where groups of independent questions are turned into counted inference
-calls: a group of g requests with h cache hits costs ceil((g - h) / batch_size)
-calls. Grouping never changes answers, only the ledger.
+calls, and the one place that caches answers: a group of g requests with h
+cache hits costs ceil((g - h) / batch_size) calls. Grouping never changes
+answers, only the ledger; a cache hit repeats the pair's first answer.
 """
 
 from __future__ import annotations
@@ -39,11 +40,7 @@ class Oracle:
     """Answers pairwise relevance questions.
 
     Subclasses must be deterministic for a fixed configuration and seed.
-    ``has_cache`` marks oracles whose ``cached`` lookup can answer without an
-    inference; the executor uses it to split hits from misses.
     """
-
-    has_cache = False
 
     def compare(self, req: ComparisonRequest) -> Preference:
         raise NotImplementedError
@@ -55,11 +52,6 @@ class Oracle:
         support override this.
         """
         return [self.compare(r) for r in reqs]
-
-    def cached(self, req: ComparisonRequest) -> Preference | None:
-        """Memo lookup; always None unless the oracle carries a cache."""
-        return None
-
 
 class ScoreOracle(Oracle):
     """Ground-truth judge over a score map.
@@ -115,55 +107,24 @@ class NoisyOracle(Oracle):
         return answer
 
 
-class MemoizedOracle(Oracle):
-    """Memoizes outcomes by unordered pair.
-
-    Stored values answer the canonical orientation (lo vs hi) and are
-    re-oriented on the way out, so (a, b) and (b, a) share one entry and the
-    base oracle is queried at most once per pair. The memo is only written
-    after the base answers, so a failing base leaves it unchanged.
-    """
-
-    has_cache = True
-
-    def __init__(self, base: Oracle):
-        self.base = base
-        self._memo: dict[tuple[DocId, DocId], Preference] = {}
-
-    def cached(self, req: ComparisonRequest) -> Preference | None:
-        key = canonical_pair(req.first, req.second)
-        stored = self._memo.get((key.lo, key.hi))
-        if stored is None:
-            return None
-        return stored.flipped() if key.flipped else stored
-
-    def compare_with_hit(self, req: ComparisonRequest) -> tuple[Preference, bool]:
-        hit = self.cached(req)
-        if hit is not None:
-            return hit, True
-        key = canonical_pair(req.first, req.second)
-        answer = self.base.compare(req)
-        self._memo[(key.lo, key.hi)] = answer.flipped() if key.flipped else answer
-        return answer, False
-
-    def compare(self, req: ComparisonRequest) -> Preference:
-        return self.compare_with_hit(req)[0]
-
-
 class BatchExecutor:
     """Submits independent comparison groups and accounts their cost.
 
-    One executor serves exactly one algorithm run. ``group_misses`` records
-    the miss count of every submitted group so the ceiling-sum call law can
-    be audited after a run.
+    One executor serves exactly one algorithm run. With ``use_cache`` it
+    keeps a run-scoped memo of every answered pair, stored in both
+    orientations, so (a, b) and (b, a) share one inference and a repeat is
+    answered for free. ``group_misses`` records the miss count of every
+    submitted group so the ceiling-sum call law can be audited after a run.
     """
 
-    def __init__(self, batch_size: int = 1):
+    def __init__(self, batch_size: int = 1, use_cache: bool = False):
         if batch_size < 1:
             raise InvalidConfig(f"batch_size must be >= 1, got {batch_size}")
         self.batch_size = batch_size
+        self.use_cache = use_cache
         self.ledger = CostLedger()
         self.group_misses: list[int] = []
+        self._memo: dict[ComparisonRequest, Preference] | None = {} if use_cache else None
 
     def submit_group(
         self, oracle: Oracle, group: Sequence[ComparisonRequest]
@@ -171,37 +132,39 @@ class BatchExecutor:
         """Answer every request in order and charge the ledger.
 
         Requests must be mutually independent (no request's construction may
-        depend on another's outcome). Cache hits are split out first; the
-        remaining misses are resolved in chunks of at most batch_size, each
-        chunk costing one inference call. A backend failure aborts the group
-        with only the completed calls counted.
+        depend on another's outcome). Every request is looked up in the memo
+        before any is resolved; the misses go to the oracle in chunks of at
+        most batch_size, each chunk costing one inference call. The memo is
+        written only after a chunk returns, so a backend failure aborts the
+        group with only the completed calls counted and the memo unchanged.
         """
         ledger = self.ledger
         ledger.comparisons += len(group)
-        if oracle.has_cache:
-            answers: list[Preference | None] = []
-            miss_at: list[int] = []
-            misses: list[ComparisonRequest] = []
-            for idx, req in enumerate(group):
-                hit = oracle.cached(req)
-                answers.append(hit)
-                if hit is None:
-                    miss_at.append(idx)
-                    misses.append(req)
-            ledger.cache_hits += len(group) - len(misses)
-        else:
+        memo = self._memo
+        answers: list[Preference | None]
+        if memo is None:
             answers = [None] * len(group)
             miss_at = list(range(len(group)))
             misses = list(group)
+        else:
+            answers = [memo.get(req) for req in group]
+            miss_at = [idx for idx, hit in enumerate(answers) if hit is None]
+            misses = [group[idx] for idx in miss_at]
+            ledger.cache_hits += len(group) - len(misses)
         if misses:
             ledger.batch_groups += 1
             self.group_misses.append(len(misses))
             size = self.batch_size
             for start in range(0, len(misses), size):
-                chunk = oracle.compare_batch(misses[start : start + size])
+                chunk = misses[start : start + size]
+                prefs = oracle.compare_batch(chunk)
                 ledger.inference_calls += 1
-                for idx, pref in zip(miss_at[start : start + size], chunk):
+                for idx, pref in zip(miss_at[start : start + size], prefs):
                     answers[idx] = pref
+                if memo is not None:
+                    for req, pref in zip(chunk, prefs):
+                        memo[req] = pref
+                        memo[ComparisonRequest(req.second, req.first)] = pref.flipped()
         return answers  # type: ignore[return-value]
 
 

@@ -11,8 +11,8 @@ from prp_sort import BatchExecutor, ComparisonRequest, Oracle, Preference, Score
 class RecordingExecutor(BatchExecutor):
     """BatchExecutor that logs every submitted request and answer, hits included."""
 
-    def __init__(self, batch_size: int = 1):
-        super().__init__(batch_size)
+    def __init__(self, batch_size: int = 1, use_cache: bool = False):
+        super().__init__(batch_size, use_cache)
         self.trace: list[ComparisonRequest] = []
         self.answers: list[Preference] = []
 

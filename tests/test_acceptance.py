@@ -29,7 +29,6 @@ from prp_sort import (
     BatchExecutor,
     ComparisonRequest,
     FormatError,
-    MemoizedOracle,
     NoisyOracle,
     PivotStrategy,
     RelevanceMap,
@@ -77,7 +76,7 @@ def test_criterion_1_exhaustive_correctness_n_up_to_7():
                 assert ranking == expected, (scores, k, "heapsort")
                 runs += 1
                 for cached in (False, True):
-                    ranking, _ = bubblesort_topk(ids, k, oracle, use_cache=cached)
+                    ranking, _ = bubblesort_topk(ids, k, oracle, BatchExecutor(use_cache=cached))
                     assert ranking == expected, (scores, k, "bubblesort", cached)
                     runs += 1
                 for pivot in ALL_PIVOTS:
@@ -104,7 +103,7 @@ def test_criterion_2_batch_size_one_law():
         if variant == 0:
             _, ledger = heapsort_topk(ids, k, oracle)
         elif variant == 1:
-            _, ledger = bubblesort_topk(ids, k, oracle, use_cache=False)
+            _, ledger = bubblesort_topk(ids, k, oracle)
         else:
             _, ledger = quicksort_topk(
                 ids,
@@ -162,11 +161,11 @@ def test_criterion_4_bubblesort_cache_invariance():
         ids, scores = random_instance(n, seed=5000 + i)
         classic_exec = RecordingExecutor()
         classic, classic_ledger = bubblesort_topk(
-            ids, k, ScoreOracle(scores), use_cache=False, executor=classic_exec
+            ids, k, ScoreOracle(scores), executor=classic_exec
         )
-        cached_exec = RecordingExecutor()
+        cached_exec = RecordingExecutor(use_cache=True)
         cached, cached_ledger = bubblesort_topk(
-            ids, k, ScoreOracle(scores), use_cache=True, executor=cached_exec
+            ids, k, ScoreOracle(scores), executor=cached_exec
         )
         assert classic == cached
         assert classic_exec.trace == cached_exec.trace
@@ -311,8 +310,9 @@ def test_criterion_7_ndcg_unit_correctness():
 
 
 def test_criterion_8_noise_degeneracy():
-    """flip_probability=0 is bit-identical to the base oracle; a memoized
-    noisy oracle never answers the same pair differently within a run."""
+    """flip_probability=0 is bit-identical to the base oracle; a noisy
+    oracle behind a caching executor never answers the same pair differently
+    within a run."""
     rng = Random(88)
     for i in range(25):
         n = rng.randint(2, 40)
@@ -322,22 +322,23 @@ def test_criterion_8_noise_degeneracy():
         zero_noise = NoisyOracle(base, flip_probability=0.0, seed=i)
         for run in (
             lambda o: heapsort_topk(ids, k, o),
-            lambda o: bubblesort_topk(ids, k, o, use_cache=False),
+            lambda o: bubblesort_topk(ids, k, o),
             lambda o: quicksort_topk(ids, k, o, pivot=ALL_PIVOTS[i % 4], seed=i),
         ):
             assert run(base) == run(zero_noise), i
-    # Internal consistency of Memoized(Noisy(p)).
+    # Internal consistency of Noisy(p) behind a caching executor.
     ids, scores = random_instance(30, seed=71)
-    memo = MemoizedOracle(NoisyOracle(ScoreOracle(scores), flip_probability=0.45, seed=9))
+    noisy = NoisyOracle(ScoreOracle(scores), flip_probability=0.45, seed=9)
+    executor = BatchExecutor(use_cache=True)
     seen = {}
     sampler = Random(3)
     for _ in range(1500):
         a, b = sampler.sample(ids, 2)
-        answer = memo.compare(ComparisonRequest(a, b))
+        [answer] = executor.submit_group(noisy, [ComparisonRequest(a, b)])
         key = canonical_pair(a, b)
         oriented = answer.flipped() if key.flipped else answer
         assert seen.setdefault((key.lo, key.hi), oriented) is oriented
-    _report("8 (noise degeneracy)", True, "p=0 bit-identical; memoized noise consistent")
+    _report("8 (noise degeneracy)", True, "p=0 bit-identical; cached noise consistent")
 
 
 def test_criterion_9_pipeline_determinism(tmp_path):

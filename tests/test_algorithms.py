@@ -11,7 +11,6 @@ from prp_sort import (
     Algorithm,
     BatchExecutor,
     InvalidConfig,
-    MemoizedOracle,
     PivotStrategy,
     ScoreOracle,
     batch_partition,
@@ -50,10 +49,10 @@ class TestHeapsort:
         with pytest.raises(InvalidConfig):
             heapsort_topk(["d1", "d2"], 1, ScoreOracle({}), executor=BatchExecutor(2))
 
-    def test_memoized_oracle_rejected(self):
-        oracle = MemoizedOracle(ScoreOracle({"d1": 1.0, "d2": 0.5}))
+    def test_caching_executor_rejected(self):
+        oracle = ScoreOracle({"d1": 1.0, "d2": 0.5})
         with pytest.raises(InvalidConfig):
-            heapsort_topk(["d1", "d2"], 1, oracle)
+            heapsort_topk(["d1", "d2"], 1, oracle, executor=BatchExecutor(use_cache=True))
 
 
 class TestBubblesort:
@@ -71,7 +70,7 @@ class TestBubblesort:
         assert ranking == ["d4", "d3", "d2", "d1"]
         assert ledger.comparisons == 3 + 2 + 1
         cached_ranking, cached_ledger = bubblesort_topk(
-            items, 4, ScoreOracle(scores), use_cache=True
+            items, 4, ScoreOracle(scores), BatchExecutor(use_cache=True)
         )
         assert cached_ranking == ranking
         assert cached_ledger.comparisons == 6
@@ -82,11 +81,11 @@ class TestBubblesort:
             ids, scores = random_instance(40, seed)
             classic_exec = RecordingExecutor()
             classic, classic_ledger = bubblesort_topk(
-                ids, 10, ScoreOracle(scores), use_cache=False, executor=classic_exec
+                ids, 10, ScoreOracle(scores), executor=classic_exec
             )
-            cached_exec = RecordingExecutor()
+            cached_exec = RecordingExecutor(use_cache=True)
             cached, cached_ledger = bubblesort_topk(
-                ids, 10, ScoreOracle(scores), use_cache=True, executor=cached_exec
+                ids, 10, ScoreOracle(scores), executor=cached_exec
             )
             assert classic == cached == true_topk(ids, scores, 10)
             assert classic_exec.trace == cached_exec.trace
@@ -100,11 +99,6 @@ class TestBubblesort:
     def test_batching_rejected(self):
         with pytest.raises(InvalidConfig):
             bubblesort_topk(["d1", "d2"], 1, ScoreOracle({}), executor=BatchExecutor(3))
-
-    def test_memoized_oracle_rejected(self):
-        oracle = MemoizedOracle(ScoreOracle({"d1": 1.0, "d2": 0.5}))
-        with pytest.raises(InvalidConfig):
-            bubblesort_topk(["d1", "d2"], 1, oracle)
 
 
 class TestSelectPivot:
@@ -282,10 +276,10 @@ class TestQuicksort:
             outcomes.add((tuple(ranking), str(ledger)))
         assert len(outcomes) == 1
 
-    def test_memoized_oracle_rejected(self):
-        oracle = MemoizedOracle(ScoreOracle({"d1": 1.0, "d2": 0.5}))
+    def test_caching_executor_rejected(self):
+        oracle = ScoreOracle({"d1": 1.0, "d2": 0.5})
         with pytest.raises(InvalidConfig):
-            quicksort_topk(["d1", "d2"], 1, oracle)
+            quicksort_topk(["d1", "d2"], 1, oracle, BatchExecutor(use_cache=True))
 
 
 class TestSharedValidation:
@@ -373,5 +367,7 @@ class TestExhaustiveSmall:
                     heap_ranking, _ = heapsort_topk(ids, k, oracle)
                     assert heap_ranking == expected
                     for cached in (False, True):
-                        bubble_ranking, _ = bubblesort_topk(ids, k, oracle, use_cache=cached)
+                        bubble_ranking, _ = bubblesort_topk(
+                            ids, k, oracle, BatchExecutor(use_cache=cached)
+                        )
                         assert bubble_ranking == expected

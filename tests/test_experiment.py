@@ -284,6 +284,22 @@ class TestConfigParsing:
                 }
             )
 
+    def test_entries_sharing_a_label_rejected(self):
+        # Labels omit k, so these two entries would merge into one aggregate.
+        with pytest.raises(InvalidConfig, match="heapsort"):
+            config_from_dict(
+                {
+                    "dataset": {"synthetic": {"queries": 3, "n": 12}},
+                    "algorithms": [
+                        {"algorithm": "heapsort", "k": 3},
+                        {"algorithm": "heapsort", "k": 10},
+                    ],
+                }
+            )
+        twins = [AlgoConfig(Algorithm.HEAPSORT, k=3), AlgoConfig(Algorithm.HEAPSORT, k=10)]
+        with pytest.raises(InvalidConfig, match="heapsort"):
+            run_experiment(small_config(algorithms=twins))
+
 
 class TestEmission:
     def test_empty_report_is_header_only_csv(self, tmp_path):

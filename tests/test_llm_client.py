@@ -50,7 +50,9 @@ def server():
     httpd = HTTPServer(("127.0.0.1", 0), _Handler)
     httpd.requests = []
     httpd.responses = []
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=httpd.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     yield httpd
     httpd.shutdown()
@@ -157,6 +159,22 @@ class TestLlmOracle:
         assert executor.ledger.comparisons == 3
         assert executor.ledger.inference_calls == 2
         assert executor.ledger.batch_groups == 1
+
+    def test_cached_misses_share_posts_and_repeats_post_nothing(self, server):
+        docs = [Candidate(f"d{i}", text=f"passage {i}") for i in range(5)]
+        oracle = LlmOracle(endpoint_for(server), "which passage?", docs)
+        executor = BatchExecutor(batch_size=4, use_cache=True)
+        group = [ComparisonRequest(f"d{i}", "d4") for i in range(4)]
+        assert executor.submit_group(oracle, group) == [Preference.FIRST] * 4
+        assert len(server.requests) == 1
+        assert len(server.requests[0]["payload"]["prompts"]) == 4
+        assert executor.ledger.inference_calls == 1
+        # Same pairs, reversed: every answer comes from the memo, re-oriented.
+        reversed_group = [ComparisonRequest("d4", f"d{i}") for i in range(4)]
+        assert executor.submit_group(oracle, reversed_group) == [Preference.SECOND] * 4
+        assert len(server.requests) == 1
+        assert executor.ledger.cache_hits == 4
+        assert executor.ledger.inference_calls == 1
 
     def test_prompt_carries_query_and_both_passages(self, server):
         oracle = LlmOracle(endpoint_for(server), "my query", CANDIDATES)

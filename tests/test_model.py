@@ -1,29 +1,11 @@
-from functools import reduce
-from random import Random
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from prp_sort import (
-    CostLedger,
-    CountOverflow,
-    IdenticalPair,
-    Preference,
-    canonical_pair,
-    ledger_merge,
-)
-from prp_sort.model import MAX_COUNT
+from prp_sort import IdenticalPair, Preference, canonical_pair
 
 doc_ids = st.text(alphabet="abcd123", min_size=1, max_size=5)
 distinct_pairs = st.tuples(doc_ids, doc_ids).filter(lambda p: p[0] != p[1])
-ledgers = st.builds(
-    CostLedger,
-    comparisons=st.integers(0, 10**9),
-    inference_calls=st.integers(0, 10**9),
-    cache_hits=st.integers(0, 10**9),
-    batch_groups=st.integers(0, 10**9),
-)
 
 
 class TestCanonicalPair:
@@ -57,40 +39,3 @@ class TestPreference:
         assert Preference.FIRST.flipped() is Preference.SECOND
         assert Preference.SECOND.flipped() is Preference.FIRST
         assert Preference.FIRST.flipped().flipped() is Preference.FIRST
-
-
-class TestLedgerMerge:
-    def test_zero_is_identity(self):
-        ledger = CostLedger(5, 3, 2, 3)
-        assert ledger_merge(ledger, CostLedger()) == ledger
-        assert ledger_merge(CostLedger(), ledger) == ledger
-
-    def test_fieldwise_sum(self):
-        merged = ledger_merge(CostLedger(5, 3, 2, 3), CostLedger(4, 2, 2, 2))
-        assert merged == CostLedger(9, 5, 4, 5)
-
-    def test_hundred_random_ledgers_match_independent_sums(self):
-        rng = Random(20240811)
-        batch = [
-            CostLedger(*(rng.randrange(0, 10**6) for _ in range(4))) for _ in range(100)
-        ]
-        merged = reduce(ledger_merge, batch)
-        assert merged.comparisons == sum(l.comparisons for l in batch)
-        assert merged.inference_calls == sum(l.inference_calls for l in batch)
-        assert merged.cache_hits == sum(l.cache_hits for l in batch)
-        assert merged.batch_groups == sum(l.batch_groups for l in batch)
-
-    @given(ledgers, ledgers)
-    def test_commutative(self, a, b):
-        assert ledger_merge(a, b) == ledger_merge(b, a)
-
-    @given(ledgers, ledgers, ledgers)
-    def test_associative(self, a, b, c):
-        assert ledger_merge(ledger_merge(a, b), c) == ledger_merge(a, ledger_merge(b, c))
-
-    def test_overflow_is_rejected(self):
-        with pytest.raises(CountOverflow):
-            ledger_merge(CostLedger(comparisons=MAX_COUNT), CostLedger(comparisons=1))
-
-    def test_inference_resolved(self):
-        assert CostLedger(comparisons=10, cache_hits=4).inference_resolved == 6

@@ -11,7 +11,6 @@ from prp_sort import (
     ComparisonRequest,
     IdenticalPair,
     InvalidConfig,
-    MemoizedOracle,
     MissingText,
     NoisyOracle,
     Preference,
@@ -80,51 +79,58 @@ class TestNoisyOracle:
             NoisyOracle(ScoreOracle({}), 1.5, seed=0)
 
 
-class TestMemoizedOracle:
+class TestExecutorCache:
     def test_miss_then_hit_queries_base_once(self):
         counting = CountingOracle(ScoreOracle({"d1": 0.9, "d2": 0.1}))
-        memo = MemoizedOracle(counting)
+        executor = BatchExecutor(use_cache=True)
         req = ComparisonRequest("d1", "d2")
-        first, hit1 = memo.compare_with_hit(req)
-        second, hit2 = memo.compare_with_hit(req)
-        assert (first, hit1) == (Preference.FIRST, False)
-        assert (second, hit2) == (Preference.FIRST, True)
-        assert counting.calls == 1
+        assert executor.submit_group(counting, [req]) == [Preference.FIRST]
+        assert executor.ledger.cache_hits == 0
+        assert executor.submit_group(counting, [req]) == [Preference.FIRST]
+        assert executor.ledger.cache_hits == 1
+        assert counting.calls == executor.ledger.inference_calls == 1
 
     def test_reversed_pair_hits_with_reoriented_winner(self):
         counting = CountingOracle(ScoreOracle({"d1": 0.9, "d2": 0.1}))
-        memo = MemoizedOracle(counting)
-        assert memo.compare(ComparisonRequest("d1", "d2")) is Preference.FIRST
-        answer, hit = memo.compare_with_hit(ComparisonRequest("d2", "d1"))
-        assert answer is Preference.SECOND
-        assert hit is True
+        executor = BatchExecutor(use_cache=True)
+        executor.submit_group(counting, [ComparisonRequest("d1", "d2")])
+        answers = executor.submit_group(counting, [ComparisonRequest("d2", "d1")])
+        assert answers == [Preference.SECOND]
+        assert executor.ledger.cache_hits == 1
         assert counting.calls == 1
 
     def test_cache_unchanged_when_base_fails(self):
-        memo = MemoizedOracle(ScoreOracle({"d1": 0.5}))
-        req = ComparisonRequest("d1", "dX")
+        oracle = ScoreOracle({"d1": 0.5, "d2": 0.1})
+        executor = BatchExecutor(batch_size=2, use_cache=True)
+        good, bad = ComparisonRequest("d1", "d2"), ComparisonRequest("d1", "dX")
+        # The failing chunk also carries a pair the base could answer.
         with pytest.raises(UnknownDoc):
-            memo.compare(req)
-        assert memo.cached(req) is None
+            executor.submit_group(oracle, [good, bad])
+        assert executor.ledger.inference_calls == 0
+        executor.submit_group(oracle, [good])
+        assert executor.ledger.cache_hits == 0
+        assert executor.ledger.inference_calls == 1
 
     def test_memoized_noisy_is_internally_consistent(self):
         ids, scores = random_instance(12, seed=11)
-        memo = MemoizedOracle(NoisyOracle(ScoreOracle(scores), 0.4, seed=8))
+        noisy = NoisyOracle(ScoreOracle(scores), 0.4, seed=8)
+        executor = BatchExecutor(use_cache=True)
         rng = Random(2)
         seen: dict[tuple[str, str], Preference] = {}
         for _ in range(300):
             a, b = rng.sample(ids, 2)
-            answer = memo.compare(ComparisonRequest(a, b))
+            [answer] = executor.submit_group(noisy, [ComparisonRequest(a, b)])
             key = canonical_pair(a, b)
             oriented = answer.flipped() if key.flipped else answer
             assert seen.setdefault((key.lo, key.hi), oriented) is oriented
+        assert executor.ledger.inference_calls == len(seen)
 
     def test_bubblesort_hits_match_replay_log(self):
         # Replay oracle: feed the recorded pair sequence into a bare set and
         # count re-seen unordered pairs; must equal the ledger's cache_hits.
         ids, scores = random_instance(100, seed=42)
-        executor = RecordingExecutor()
-        _, ledger = bubblesort_topk(ids, 10, ScoreOracle(scores), use_cache=True, executor=executor)
+        executor = RecordingExecutor(use_cache=True)
+        _, ledger = bubblesort_topk(ids, 10, ScoreOracle(scores), executor=executor)
         seen: set[tuple[str, str]] = set()
         replay_hits = 0
         for req in executor.trace:
@@ -173,14 +179,14 @@ class TestBatchExecutor:
 
     def test_cache_hits_split_from_misses(self):
         ids, scores = random_instance(5, seed=4)
-        memo = MemoizedOracle(ScoreOracle(scores))
-        executor = BatchExecutor(batch_size=2)
+        oracle = ScoreOracle(scores)
+        executor = BatchExecutor(batch_size=2, use_cache=True)
         group = [ComparisonRequest(ids[i], ids[4]) for i in range(4)]
-        executor.submit_group(memo, group)
+        executor.submit_group(oracle, group)
         # Same unordered pairs again, opposite orientation: all hits.
         flipped = [ComparisonRequest(ids[4], ids[i]) for i in range(4)]
         before_calls = executor.ledger.inference_calls
-        answers = executor.submit_group(memo, flipped)
+        answers = executor.submit_group(oracle, flipped)
         assert executor.ledger.cache_hits == 4
         assert executor.ledger.inference_calls == before_calls
         assert executor.ledger.comparisons == 8
