@@ -39,8 +39,8 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    algorithms = [AlgoConfig(Algorithm.HEAPSORT, k=args.k)]
-    algorithms += [
+    heapsort = AlgoConfig(Algorithm.HEAPSORT, k=args.k)
+    quicksorts = [
         AlgoConfig(
             Algorithm.QUICKSORT,
             k=args.k,
@@ -51,13 +51,13 @@ def main() -> int:
     ]
     config = ExperimentConfig(
         dataset=SyntheticSpec(num_queries=args.queries, n=args.n),
-        algorithms=algorithms,
+        algorithms=[heapsort, *quicksorts],
         k=args.k,
         master_seed=args.seed,
     )
     report = run_experiment(config)
     by_label = {a.algorithm: a for a in report.aggregates}
-    heap = by_label["heapsort"]
+    heap = by_label[heapsort.label()]
     print(
         f"{args.queries} queries, n={args.n}, k={args.k}, pivot={args.pivot}, "
         f"seed={args.seed}"
@@ -66,13 +66,12 @@ def main() -> int:
     print()
     print(f"{'B':>4s} {'inferences':>18s} {'vs heapsort':>12s} {'vs B=1':>10s}")
     unbatched = None
-    for batch_size in BATCH_SIZES:
-        label = f"quicksort ({args.pivot}, b={batch_size})"
-        agg = by_label[label]
+    for quicksort in quicksorts:
+        agg = by_label[quicksort.label()]
         if unbatched is None:
             unbatched = agg.mean_inference_calls
         print(
-            f"{batch_size:4d} "
+            f"{quicksort.batch_size:4d} "
             f"{agg.mean_inference_calls:10.1f} ± {agg.sd_inference_calls:5.1f} "
             f"{agg.gain_pct:11.1f}% "
             f"{percent_gain(unbatched, agg.mean_inference_calls):9.1f}%"

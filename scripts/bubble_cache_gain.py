@@ -41,6 +41,8 @@ def main() -> int:
 
     print(f"{args.queries} queries, n={args.n}, k={args.k}, seed={args.seed}")
     print(f"{'flip':>6s} {'classic calls':>16s} {'cached calls':>16s} {'saving':>8s}")
+    classic_config = AlgoConfig(Algorithm.BUBBLESORT, k=args.k)
+    cached_config = AlgoConfig(Algorithm.BUBBLESORT, k=args.k, use_cache=True)
     for flip in args.noise:
         oracle = (
             OracleSpec(kind="score")
@@ -49,17 +51,14 @@ def main() -> int:
         )
         config = ExperimentConfig(
             dataset=SyntheticSpec(num_queries=args.queries, n=args.n),
-            algorithms=[
-                AlgoConfig(Algorithm.BUBBLESORT, k=args.k),
-                AlgoConfig(Algorithm.BUBBLESORT, k=args.k, use_cache=True),
-            ],
+            algorithms=[classic_config, cached_config],
             oracle=oracle,
             k=args.k,
             master_seed=args.seed,
         )
         by_label = {a.algorithm: a for a in run_experiment(config).aggregates}
-        classic = by_label["bubblesort (classic)"]
-        cached = by_label["bubblesort (cached)"]
+        classic = by_label[classic_config.label()]
+        cached = by_label[cached_config.label()]
         print(
             f"{flip:6.2f} "
             f"{classic.mean_inference_calls:8.1f} ± {classic.sd_inference_calls:5.1f} "

@@ -26,57 +26,23 @@ from .algorithms import (
     run_algorithm,
     select_pivot,
 )
-from .datasets import (
-    Dataset,
-    Query,
-    generate_synthetic,
-    load_id_text_tsv,
-    load_qrels,
-    load_run_file,
-    write_dataset_json,
-)
-from .errors import (
-    AggregateMismatch,
-    BackendFailure,
-    EmptySample,
-    FormatError,
-    IdenticalPair,
-    InvalidConfig,
-    MissingText,
-    ParseFallbackWarning,
-    RankingError,
-    UnknownDoc,
-    ZeroBaseline,
-)
+from .datasets import generate_synthetic, load_id_text_tsv, load_qrels, load_run_file
+from .errors import BackendFailure, InvalidConfig, ParseFallbackWarning, RankingError
 from .experiment import (
-    AggregateRow,
     ExperimentConfig,
-    ExperimentReport,
-    FileSource,
     OracleSpec,
-    QueryRow,
     SyntheticSpec,
-    compute_aggregates,
     config_from_dict,
     emit_report,
     load_config,
     run_experiment,
 )
-from .metrics import CostStats, RelevanceMap, aggregate, ndcg_at_k, percent_gain
-from .model import (
-    Candidate,
-    CostLedger,
-    DocId,
-    PairKey,
-    Preference,
-    canonical_pair,
-)
+from .metrics import ndcg_at_k, percent_gain
+from .model import Candidate, CostLedger, Preference, canonical_pair
 from .oracles import (
     BatchExecutor,
     ComparisonRequest,
-    DEFAULT_PROMPT_TEMPLATE,
     LlmEndpoint,
-    LlmOracle,
     NoisyOracle,
     Oracle,
     ScoreOracle,
@@ -85,9 +51,10 @@ from .oracles import (
     parse_preference_label,
 )
 
+# The names callers outside the package use: the scripts, the benchmark, the
+# README example, the three sorters and the errors a caller may catch. Every
+# other name is imported from its submodule.
 __all__ = [
-    "AggregateMismatch",
-    "AggregateRow",
     "AlgoConfig",
     "Algorithm",
     "BackendFailure",
@@ -95,41 +62,22 @@ __all__ = [
     "Candidate",
     "ComparisonRequest",
     "CostLedger",
-    "CostStats",
-    "DEFAULT_PROMPT_TEMPLATE",
-    "Dataset",
-    "DocId",
-    "EmptySample",
     "ExperimentConfig",
-    "ExperimentReport",
-    "FileSource",
-    "FormatError",
-    "IdenticalPair",
     "InvalidConfig",
     "LlmEndpoint",
-    "LlmOracle",
-    "MissingText",
     "NoisyOracle",
     "Oracle",
     "OracleSpec",
-    "PairKey",
     "ParseFallbackWarning",
     "PivotStrategy",
     "Preference",
-    "Query",
-    "QueryRow",
     "RankingError",
-    "RelevanceMap",
     "ScoreOracle",
     "SyntheticSpec",
-    "UnknownDoc",
-    "ZeroBaseline",
-    "aggregate",
     "batch_partition",
     "bubblesort_topk",
     "build_prp_prompt",
     "canonical_pair",
-    "compute_aggregates",
     "config_from_dict",
     "emit_report",
     "generate_synthetic",
@@ -146,5 +94,4 @@ __all__ = [
     "run_algorithm",
     "run_experiment",
     "select_pivot",
-    "write_dataset_json",
 ]

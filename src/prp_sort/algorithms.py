@@ -38,13 +38,15 @@ class PivotStrategy(Enum):
     MEDIAN_OF_THREE = "median-of-three"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlgoConfig:
     """One algorithm variant: which sorter runs, with what k, batch size,
     cache flag, pivot rule and seed.
 
     batch_size > 1 is only legal for Quicksort and use_cache only for
-    Bubblesort; ``partial`` and ``pivot`` are read by Quicksort alone.
+    Bubblesort; ``partial`` and ``pivot`` are read by Quicksort alone. The
+    checks run on construction, so an invalid config (also one made with
+    ``dataclasses.replace``) cannot exist.
     """
 
     algorithm: Algorithm
@@ -55,7 +57,7 @@ class AlgoConfig:
     partial: bool = True
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.k < 1:
             raise InvalidConfig(f"k must be >= 1, got {self.k}")
         if self.batch_size < 1:
@@ -69,9 +71,20 @@ class AlgoConfig:
         if self.algorithm is Algorithm.HEAPSORT:
             return "heapsort"
         if self.algorithm is Algorithm.BUBBLESORT:
-            return "bubblesort (cached)" if self.use_cache else "bubblesort (classic)"
+            return f"bubblesort ({'cached' if self.use_cache else 'classic'})"
         suffix = "" if self.partial else ", full"
         return f"quicksort ({self.pivot.value}, b={self.batch_size}{suffix})"
+
+    def baseline(self) -> AlgoConfig | None:
+        """The variant this one's gain is measured against, at the same k:
+        heapsort for Quicksort, classic for cached Bubblesort, else None.
+        Match it by ``label()`` and ``k``; the label leaves out the fields
+        an algorithm does not read."""
+        if self.algorithm is Algorithm.QUICKSORT:
+            return AlgoConfig(Algorithm.HEAPSORT, k=self.k)
+        if self.use_cache:
+            return AlgoConfig(Algorithm.BUBBLESORT, k=self.k)
+        return None
 
 
 def _checked_items(items: Iterable[DocId]) -> list[DocId]:
@@ -304,18 +317,16 @@ def run_algorithm(
     items: Iterable[DocId], config: AlgoConfig, oracle: Oracle
 ) -> tuple[list[DocId], CostLedger]:
     """Run one configured algorithm with a fresh executor."""
-    config.validate()
+    executor = BatchExecutor(config.batch_size, config.use_cache)
     if config.algorithm is Algorithm.HEAPSORT:
-        return heapsort_topk(items, config.k, oracle)
+        return heapsort_topk(items, config.k, oracle, executor)
     if config.algorithm is Algorithm.BUBBLESORT:
-        return bubblesort_topk(
-            items, config.k, oracle, BatchExecutor(use_cache=config.use_cache)
-        )
+        return bubblesort_topk(items, config.k, oracle, executor)
     return quicksort_topk(
         items,
         config.k,
         oracle,
-        BatchExecutor(config.batch_size),
+        executor,
         pivot=config.pivot,
         partial=config.partial,
         seed=config.seed,

@@ -1,4 +1,4 @@
-"""Command line interface: prp-sort run | synth | version."""
+"""Command line interface: prp-sort run | version."""
 
 from __future__ import annotations
 
@@ -7,9 +7,8 @@ import json
 import sys
 
 from . import __version__
-from .algorithms import Algorithm, AlgoConfig, PivotStrategy
-from .datasets import generate_synthetic, write_dataset_json
-from .errors import RankingError
+from .algorithms import Algorithm, PivotStrategy
+from .errors import InvalidConfig, RankingError
 from .experiment import ExperimentReport, config_from_dict, emit_report, run_experiment
 
 
@@ -51,13 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="output path override ('-' for stdout)")
     run.set_defaults(func=_cmd_run)
 
-    synth = sub.add_parser("synth", help="generate a synthetic dataset as JSON")
-    synth.add_argument("--queries", type=int, required=True, help="number of queries")
-    synth.add_argument("--n", type=int, required=True, help="candidates per query")
-    synth.add_argument("--seed", type=int, default=0, help="master seed")
-    synth.add_argument("--out", required=True, help="output JSON path")
-    synth.set_defaults(func=_cmd_synth)
-
     version = sub.add_parser("version", help="print the package version")
     version.set_defaults(func=_cmd_version)
     return parser
@@ -66,6 +58,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args: argparse.Namespace) -> int:
     with open(args.config, encoding="utf-8") as handle:
         raw = json.load(handle)
+    overrides = {
+        "batch_size": args.batch_size,
+        "pivot": args.pivot,
+        "use_cache": args.cache,
+        "partial": args.partial,
+    }
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    if args.algo is not None:
+        raw["algorithms"] = [{"algorithm": args.algo, **overrides}]
+    elif overrides:
+        raise InvalidConfig("--batch-size, --pivot, --cache and --partial need --algo")
     if args.k is not None:
         raw["k"] = args.k
         for entry in raw.get("algorithms", []):
@@ -73,17 +76,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.seed is not None:
         raw["seed"] = args.seed
     config = config_from_dict(raw)
-    if args.algo is not None:
-        override = AlgoConfig(
-            algorithm=Algorithm(args.algo),
-            k=config.k,
-            batch_size=args.batch_size if args.batch_size is not None else 1,
-            use_cache=bool(args.cache),
-            pivot=PivotStrategy(args.pivot) if args.pivot else PivotStrategy.MEDIAN_OF_THREE,
-            partial=args.partial if args.partial is not None else True,
-        )
-        override.validate()
-        config.algorithms = [override]
     if args.format is not None:
         config.out_format = args.format
     if args.out is not None:
@@ -109,13 +101,6 @@ def _print_summary(report: ExperimentReport) -> None:
         ndcg = f"{agg.mean_ndcg:.4f}" if agg.mean_ndcg is not None else "   -"
         gain = f"{agg.gain_pct:6.1f}" if agg.gain_pct is not None else "     -"
         print(f"{agg.algorithm:38s} {agg.n_queries:4d} {comp:>16s} {inf:>16s} {ndcg:>7s} {gain:>7s}")
-
-
-def _cmd_synth(args: argparse.Namespace) -> int:
-    dataset = generate_synthetic(args.queries, args.n, args.seed)
-    write_dataset_json(dataset, args.out)
-    print(f"wrote {args.queries} queries x {args.n} candidates to {args.out}")
-    return 0
 
 
 def _cmd_version(_args: argparse.Namespace) -> int:

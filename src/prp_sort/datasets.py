@@ -7,7 +7,6 @@ seeded, strictly ordered ground-truth scores for desk-scale cost studies.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from random import Random
@@ -40,9 +39,10 @@ def load_run_file(path: str, depth: int = 100) -> list[Query]:
     """Parse a 6-column TREC run file into per-query candidate lists.
 
     Columns: qid Q0 docid rank score tag, whitespace separated. Candidates
-    are ordered by ascending rank and truncated to ``depth`` per query.
-    Duplicate (qid, docid) pairs and malformed lines raise FormatError with
-    the offending 1-based line number; blank lines are skipped.
+    are ordered by ascending rank and truncated to ``depth`` per query; the
+    score must parse as a number but is not kept. Duplicate (qid, docid)
+    pairs and malformed lines raise FormatError with the offending 1-based
+    line number; blank lines are skipped.
     """
     if depth < 1:
         raise InvalidConfig(f"depth must be >= 1, got {depth}")
@@ -64,15 +64,13 @@ def load_run_file(path: str, depth: int = 100) -> list[Query]:
             except ValueError:
                 raise FormatError(f"rank {rank_text!r} is not an integer", lineno) from None
             try:
-                score = float(score_text)
+                float(score_text)
             except ValueError:
                 raise FormatError(f"score {score_text!r} is not a number", lineno) from None
             if (qid, doc) in seen:
                 raise FormatError(f"duplicate candidate {doc!r} for query {qid!r}", lineno)
             seen.add((qid, doc))
-            per_query.setdefault(qid, []).append(
-                (rank, Candidate(doc=doc, first_stage_score=score))
-            )
+            per_query.setdefault(qid, []).append((rank, Candidate(doc=doc)))
     queries = []
     for qid, ranked in per_query.items():
         ranked.sort(key=lambda entry: entry[0])
@@ -167,23 +165,3 @@ def generate_synthetic(num_queries: int, n: int, master_seed: int) -> Dataset:
         queries.append(Query(qid=qid, text=None, candidates=[Candidate(doc=d) for d in docs]))
     return Dataset(queries=queries, grades=grades, ground_truth_scores=truth)
 
-
-def write_dataset_json(dataset: Dataset, path: str) -> None:
-    """Serialize a dataset (candidates, scores, grades) as a JSON document."""
-    payload = {
-        "queries": [
-            {
-                "qid": q.qid,
-                "text": q.text,
-                "candidates": [c.doc for c in q.candidates],
-                "scores": dataset.ground_truth_scores.get(q.qid, {})
-                if dataset.ground_truth_scores
-                else {},
-                "grades": dataset.grades.by_query.get(q.qid, {}) if dataset.grades else {},
-            }
-            for q in dataset.queries
-        ]
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=False)
-        handle.write("\n")

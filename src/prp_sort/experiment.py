@@ -3,7 +3,7 @@
 A run takes a dataset (TREC files or synthetic), an algorithm matrix and an
 oracle spec, executes every (query, algorithm) cell with a fresh executor and
 cache, and emits per-query rows plus aggregates with percentage gains against
-the named baselines (quicksort vs heapsort, cached vs classic bubblesort).
+each variant's ``AlgoConfig.baseline()``.
 Everything is deterministic for non-LLM oracles: per-query seeds are derived
 from (master_seed, qid), so neither adding queries nor permuting their input
 order changes any existing per-query value.
@@ -89,6 +89,7 @@ class QueryRow:
     cache_hits: int | None
     batch_groups: int | None
     ndcg: float | None
+    config: AlgoConfig  # the matrix entry the cell ran; not a report column
 
 
 @dataclass
@@ -140,7 +141,7 @@ def algo_config_from_dict(entry: dict[str, Any], default_k: int) -> AlgoConfig:
     pivot_name = entry.get("pivot", PivotStrategy.MEDIAN_OF_THREE.value)
     if pivot_name not in _PIVOTS:
         raise InvalidConfig(f"pivot must be one of {sorted(_PIVOTS)}, got {pivot_name!r}")
-    config = AlgoConfig(
+    return AlgoConfig(
         algorithm=algorithm,
         k=int(entry.get("k", default_k)),
         batch_size=int(entry.get("batch_size", 1)),
@@ -148,8 +149,6 @@ def algo_config_from_dict(entry: dict[str, Any], default_k: int) -> AlgoConfig:
         pivot=_PIVOTS[pivot_name],
         partial=bool(entry.get("partial", True)),
     )
-    config.validate()
-    return config
 
 
 def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
@@ -300,8 +299,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     cell failed and move on; anything structural still raises.
     """
     _validate_config(config)
-    for algo in config.algorithms:
-        algo.validate()
     dataset = _load_dataset(config)
     has_grades = dataset.grades is not None
     rows: list[QueryRow] = []
@@ -336,6 +333,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     cached=algo.use_cache,
                     partial=partial,
                     ndcg=ndcg,
+                    config=algo,
                     **counts,
                 )
             )
@@ -345,9 +343,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 def compute_aggregates(rows: list[QueryRow]) -> list[AggregateRow]:
     """Aggregate per-query rows per algorithm label, in first-seen order.
 
-    Quicksort rows are compared against the heapsort baseline and cached
-    bubblesort against classic bubblesort (both on mean inference calls),
-    when the baseline is present with the same k.
+    A row group whose config names a ``baseline()`` gets the percentage gain
+    in mean inference calls over that baseline's group, when the baseline is
+    present with the same k.
     """
     order: list[str] = []
     groups: dict[str, list[QueryRow]] = {}
@@ -388,18 +386,12 @@ def compute_aggregates(rows: list[QueryRow]) -> list[AggregateRow]:
             )
         )
     by_label = {a.algorithm: a for a in aggregates}
-    for agg in aggregates:
-        baseline = None
-        if agg.algorithm.startswith("quicksort"):
-            candidate = by_label.get("heapsort")
-            if candidate is not None and candidate.k == agg.k:
-                baseline = candidate
-        elif agg.cached:
-            candidate = by_label.get("bubblesort (classic)")
-            if candidate is not None and candidate.k == agg.k:
-                baseline = candidate
+    for agg, label in zip(aggregates, order):
+        wanted = groups[label][0].config.baseline()
+        baseline = by_label.get(wanted.label()) if wanted is not None else None
         if (
             baseline is not None
+            and baseline.k == wanted.k
             and baseline.mean_inference_calls
             and agg.mean_inference_calls is not None
         ):
@@ -450,11 +442,11 @@ _FLOAT_FIELDS = {
 
 
 def _row_record(row: QueryRow | AggregateRow) -> dict[str, Any]:
-    record: dict[str, Any] = {name: None for name in REPORT_COLUMNS}
-    record["kind"] = "query" if isinstance(row, QueryRow) else "aggregate"
-    for f in fields(row):
-        record[f.name] = getattr(row, f.name)
-    return record
+    kind = "query" if isinstance(row, QueryRow) else "aggregate"
+    return {
+        name: kind if name == "kind" else getattr(row, name, None)
+        for name in REPORT_COLUMNS
+    }
 
 
 def _check_consistency(report: ExperimentReport) -> None:

@@ -32,12 +32,10 @@ class Preference(Enum):
 
 @dataclass(frozen=True, slots=True)
 class Candidate:
-    """One rankable item: document id plus optional passage text and
-    first-stage retrieval score."""
+    """One rankable item: document id plus optional passage text."""
 
     doc: DocId
     text: str | None = None
-    first_stage_score: float | None = None
 
 
 class PairKey(NamedTuple):

@@ -28,10 +28,8 @@ import pytest
 from prp_sort import (
     BatchExecutor,
     ComparisonRequest,
-    FormatError,
     NoisyOracle,
     PivotStrategy,
-    RelevanceMap,
     ScoreOracle,
     bubblesort_topk,
     canonical_pair,
@@ -44,7 +42,9 @@ from prp_sort import (
     run_experiment,
 )
 from prp_sort.cli import main as cli_main
+from prp_sort.errors import FormatError
 from prp_sort.experiment import compute_aggregates
+from prp_sort.metrics import RelevanceMap
 from helpers import RecordingExecutor, random_instance, true_topk
 
 ROOT = Path(__file__).resolve().parents[1]

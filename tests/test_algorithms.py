@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -325,15 +326,29 @@ class TestAlgoConfig:
 
     def test_batching_rejected_outside_quicksort(self):
         with pytest.raises(InvalidConfig):
-            AlgoConfig(Algorithm.HEAPSORT, batch_size=2).validate()
+            AlgoConfig(Algorithm.HEAPSORT, batch_size=2)
         with pytest.raises(InvalidConfig):
-            AlgoConfig(Algorithm.BUBBLESORT, batch_size=2).validate()
+            AlgoConfig(Algorithm.BUBBLESORT, batch_size=2)
 
     def test_caching_rejected_outside_bubblesort(self):
         with pytest.raises(InvalidConfig):
-            AlgoConfig(Algorithm.HEAPSORT, use_cache=True).validate()
+            AlgoConfig(Algorithm.HEAPSORT, use_cache=True)
         with pytest.raises(InvalidConfig):
-            AlgoConfig(Algorithm.QUICKSORT, use_cache=True).validate()
+            AlgoConfig(Algorithm.QUICKSORT, use_cache=True)
+
+    def test_replace_cannot_build_an_invalid_config(self):
+        with pytest.raises(InvalidConfig, match="batch"):
+            replace(AlgoConfig(Algorithm.HEAPSORT), batch_size=2)
+        with pytest.raises(InvalidConfig, match="k must be"):
+            replace(AlgoConfig(Algorithm.QUICKSORT), k=0)
+
+    def test_baselines(self):
+        quick = AlgoConfig(Algorithm.QUICKSORT, k=4, batch_size=8, pivot=PivotStrategy.RANDOM)
+        assert quick.baseline() == AlgoConfig(Algorithm.HEAPSORT, k=4)
+        cached = AlgoConfig(Algorithm.BUBBLESORT, k=3, use_cache=True)
+        assert cached.baseline() == AlgoConfig(Algorithm.BUBBLESORT, k=3)
+        assert AlgoConfig(Algorithm.HEAPSORT).baseline() is None
+        assert AlgoConfig(Algorithm.BUBBLESORT).baseline() is None
 
     def test_run_algorithm_dispatch(self):
         ids, scores = random_instance(12, seed=14)

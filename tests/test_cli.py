@@ -29,30 +29,6 @@ class TestVersion:
         assert capsys.readouterr().out.strip() == prp_sort.__version__
 
 
-class TestSynth:
-    def test_writes_dataset_json(self, tmp_path, capsys):
-        out = tmp_path / "data.json"
-        assert main(["synth", "--queries", "2", "--n", "5", "--seed", "3", "--out", str(out)]) == 0
-        payload = json.loads(out.read_text(encoding="utf-8"))
-        assert len(payload["queries"]) == 2
-        first = payload["queries"][0]
-        assert first["qid"] == "q0001"
-        assert len(first["candidates"]) == 5
-        assert len(first["scores"]) == 5
-        assert set(first["grades"]) == set(first["candidates"])
-
-    def test_deterministic_bytes_for_fixed_seed(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        main(["synth", "--queries", "2", "--n", "6", "--seed", "9", "--out", str(a)])
-        main(["synth", "--queries", "2", "--n", "6", "--seed", "9", "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_invalid_sizes_exit_nonzero(self, tmp_path, capsys):
-        out = tmp_path / "x.json"
-        assert main(["synth", "--queries", "0", "--n", "5", "--out", str(out)]) == 2
-        assert "error:" in capsys.readouterr().err
-
-
 class TestRun:
     def test_runs_config_and_writes_csv(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -131,6 +107,16 @@ class TestRun:
         code = main(["run", "--config", config, "--algo", "heapsort", "--batch-size", "4"])
         assert code == 2
         assert "batch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [["--batch-size", "16"], ["--pivot", "random"], ["--cache"], ["--no-partial"]]
+    )
+    def test_override_flags_without_algo_exit_nonzero(self, tmp_path, capsys, flags):
+        config = write_config(tmp_path)
+        out = tmp_path / "r.csv"
+        assert main(["run", "--config", config, *flags, "--out", str(out)]) == 2
+        assert "need --algo" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file_exits_nonzero(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2

@@ -1,13 +1,13 @@
 import pytest
 
 from prp_sort import (
-    FormatError,
     InvalidConfig,
     generate_synthetic,
     load_id_text_tsv,
     load_qrels,
     load_run_file,
 )
+from prp_sort.errors import FormatError
 
 
 def write(tmp_path, name, text):
@@ -23,7 +23,6 @@ class TestRunFileLoader:
         assert len(queries) == 1
         assert queries[0].qid == "q1"
         assert [c.doc for c in queries[0].candidates] == ["dA", "dB"]
-        assert queries[0].candidates[0].first_stage_score == pytest.approx(12.3)
 
     def test_candidates_ordered_by_rank_not_file_order(self, tmp_path):
         path = write(tmp_path, "run.txt", "q1 Q0 dB 2 11.0 t\nq1 Q0 dA 1 12.0 t\n")

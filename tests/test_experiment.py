@@ -5,23 +5,27 @@ import math
 import pytest
 
 from prp_sort import (
-    AggregateMismatch,
     AlgoConfig,
     Algorithm,
     ExperimentConfig,
-    FileSource,
     InvalidConfig,
     LlmEndpoint,
     OracleSpec,
     PivotStrategy,
     SyntheticSpec,
-    compute_aggregates,
     config_from_dict,
     emit_report,
     load_config,
     run_experiment,
 )
-from prp_sort.experiment import REPORT_COLUMNS, ExperimentReport, QueryRow
+from prp_sort.errors import AggregateMismatch
+from prp_sort.experiment import (
+    REPORT_COLUMNS,
+    ExperimentReport,
+    FileSource,
+    QueryRow,
+    compute_aggregates,
+)
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -92,6 +96,28 @@ class TestRunExperiment:
             / classic.mean_inference_calls
         )
         assert cached.gain_pct == pytest.approx(expected)
+
+    def test_baseline_ignores_fields_the_algorithm_does_not_read(self):
+        # Heapsort never reads pivot or partial; carrying them must not stop
+        # the entry from serving as the quicksort baseline.
+        heap = AlgoConfig(Algorithm.HEAPSORT, k=4, pivot=PivotStrategy.RANDOM, partial=False)
+        quick = AlgoConfig(Algorithm.QUICKSORT, k=4, batch_size=2)
+        report = run_experiment(small_config(algorithms=[heap, quick]))
+        by_label = {a.algorithm: a for a in report.aggregates}
+        assert by_label[quick.label()].baseline == "heapsort"
+        assert by_label[quick.label()].gain_pct is not None
+
+    def test_no_gain_against_a_baseline_at_another_k(self):
+        algorithms = [
+            AlgoConfig(Algorithm.HEAPSORT, k=3),
+            AlgoConfig(Algorithm.QUICKSORT, k=4, batch_size=2),
+            AlgoConfig(Algorithm.BUBBLESORT, k=3),
+            AlgoConfig(Algorithm.BUBBLESORT, k=4, use_cache=True),
+        ]
+        report = run_experiment(small_config(algorithms=algorithms))
+        for agg in report.aggregates:
+            assert agg.baseline is None
+            assert agg.gain_pct is None
 
     def test_aggregates_match_rows(self):
         report = run_experiment(small_config())
@@ -323,6 +349,7 @@ class TestEmission:
             cache_hits=0,
             batch_groups=7,
             ndcg=0.51234,
+            config=AlgoConfig(Algorithm.HEAPSORT, k=3),
         )
         report = ExperimentReport(rows=[row], aggregates=compute_aggregates([row]))
         path = tmp_path / "one.csv"
@@ -363,6 +390,7 @@ class TestEmission:
             assert record["kind"] == "query"
             assert record["comparisons"] == row.comparisons
             assert record["ndcg"] == row.ndcg
+        assert all(list(record) == REPORT_COLUMNS for record in records)
         tail = records[len(report.rows) :]
         for record, agg in zip(tail, report.aggregates):
             assert record["kind"] == "aggregate"

@@ -11,12 +11,12 @@ from prp_sort import (
     Candidate,
     ComparisonRequest,
     LlmEndpoint,
-    LlmOracle,
-    MissingText,
     ParseFallbackWarning,
     Preference,
     llm_compare_batch,
 )
+from prp_sort.errors import MissingText
+from prp_sort.oracles import LlmOracle
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -5,16 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prp_sort import (
-    CostStats,
-    EmptySample,
-    InvalidConfig,
-    RelevanceMap,
-    ZeroBaseline,
-    aggregate,
-    ndcg_at_k,
-    percent_gain,
-)
+from prp_sort import InvalidConfig, ndcg_at_k, percent_gain
+from prp_sort.errors import EmptySample, ZeroBaseline
+from prp_sort.metrics import CostStats, RelevanceMap, aggregate
 
 grades_strategy = st.dictionaries(
     st.sampled_from([f"d{i}" for i in range(12)]), st.integers(0, 4), max_size=12

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from prp_sort import IdenticalPair, Preference, canonical_pair
+from prp_sort import Preference, canonical_pair
+from prp_sort.errors import IdenticalPair
 
 doc_ids = st.text(alphabet="abcd123", min_size=1, max_size=5)
 distinct_pairs = st.tuples(doc_ids, doc_ids).filter(lambda p: p[0] != p[1])

@@ -9,18 +9,16 @@ from prp_sort import (
     BatchExecutor,
     Candidate,
     ComparisonRequest,
-    IdenticalPair,
     InvalidConfig,
-    MissingText,
     NoisyOracle,
     Preference,
     ScoreOracle,
-    UnknownDoc,
     build_prp_prompt,
     bubblesort_topk,
     canonical_pair,
     parse_preference_label,
 )
+from prp_sort.errors import IdenticalPair, MissingText, UnknownDoc
 from helpers import CountingOracle, RecordingExecutor, random_instance
 
 
