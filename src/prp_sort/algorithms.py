@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .errors import InvalidConfig
 from .model import CostLedger, DocId, Preference
@@ -36,6 +36,21 @@ class PivotStrategy(Enum):
     MIDDLE = "middle"
     RANDOM = "random"
     MEDIAN_OF_THREE = "median-of-three"
+
+
+def _check_executor(algorithm: Algorithm, batch_size: int, use_cache: bool) -> None:
+    # Batching is Quicksort's lever and caching Bubblesort's; asking any other
+    # sorter for one is a misconfiguration, not a silent no-op.
+    if algorithm is not Algorithm.QUICKSORT and batch_size != 1:
+        raise InvalidConfig(f"{algorithm.value} cannot batch; use batch_size=1")
+    if algorithm is not Algorithm.BUBBLESORT and use_cache:
+        raise InvalidConfig(f"{algorithm.value} cannot cache; use_cache must be false")
+
+
+def _executor_for(algorithm: Algorithm, executor: BatchExecutor | None) -> BatchExecutor:
+    executor = BatchExecutor() if executor is None else executor
+    _check_executor(algorithm, executor.batch_size, executor.use_cache)
+    return executor
 
 
 @dataclass(frozen=True)
@@ -62,10 +77,7 @@ class AlgoConfig:
             raise InvalidConfig(f"k must be >= 1, got {self.k}")
         if self.batch_size < 1:
             raise InvalidConfig(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.algorithm is not Algorithm.QUICKSORT and self.batch_size != 1:
-            raise InvalidConfig(f"{self.algorithm.value} cannot batch; use batch_size=1")
-        if self.algorithm is not Algorithm.BUBBLESORT and self.use_cache:
-            raise InvalidConfig(f"{self.algorithm.value} cannot cache; use_cache must be false")
+        _check_executor(self.algorithm, self.batch_size, self.use_cache)
 
     def label(self) -> str:
         if self.algorithm is Algorithm.HEAPSORT:
@@ -74,6 +86,19 @@ class AlgoConfig:
             return f"bubblesort ({'cached' if self.use_cache else 'classic'})"
         suffix = "" if self.partial else ", full"
         return f"quicksort ({self.pivot.value}, b={self.batch_size}{suffix})"
+
+    def columns(self) -> dict[str, Any]:
+        """The report columns describing this variant; ``pivot`` and ``partial``
+        are None except for Quicksort, the one sorter that reads them."""
+        quick = self.algorithm is Algorithm.QUICKSORT
+        return dict(
+            algorithm=self.label(),
+            k=self.k,
+            batch_size=self.batch_size,
+            pivot=self.pivot.value if quick else None,
+            cached=self.use_cache,
+            partial=self.partial if quick else None,
+        )
 
     def baseline(self) -> AlgoConfig | None:
         """The variant this one's gain is measured against, at the same k:
@@ -107,22 +132,6 @@ def _clamp_k(k: int, n: int) -> int:
     return k
 
 
-def _sequential_executor(executor: BatchExecutor | None) -> BatchExecutor:
-    if executor is None:
-        return BatchExecutor(batch_size=1)
-    if executor.batch_size != 1:
-        raise InvalidConfig("this algorithm is sequential; executor batch_size must be 1")
-    return executor
-
-
-def _uncached(executor: BatchExecutor) -> BatchExecutor:
-    # Caching is a Bubblesort option (its sweeps re-ask pairs); anywhere else
-    # it is a misconfiguration, not a silent no-op.
-    if executor.use_cache:
-        raise InvalidConfig("this algorithm cannot cache; pass an executor without use_cache")
-    return executor
-
-
 def heapsort_topk(
     items: Iterable[DocId],
     k: int,
@@ -136,7 +145,7 @@ def heapsort_topk(
     rules out batching and caching here. Returns the k extracted ids in
     extraction order (most relevant first).
     """
-    executor = _uncached(_sequential_executor(executor))
+    executor = _executor_for(Algorithm.HEAPSORT, executor)
     heap = _checked_items(items)
     n = len(heap)
     k = _clamp_k(k, n)
@@ -185,7 +194,7 @@ def bubblesort_topk(
     pair sequence, outcomes and ranking are identical to the classic run;
     only the hit/call split differs.
     """
-    executor = _sequential_executor(executor)
+    executor = _executor_for(Algorithm.BUBBLESORT, executor)
     order = _checked_items(items)
     n = len(order)
     k = _clamp_k(k, n)
@@ -294,7 +303,7 @@ def quicksort_topk(
     only how misses are chunked into calls, so the ranking is invariant
     across batch sizes.
     """
-    executor = _uncached(BatchExecutor() if executor is None else executor)
+    executor = _executor_for(Algorithm.QUICKSORT, executor)
     order = _checked_items(items)
     n = len(order)
     k = _clamp_k(k, n)

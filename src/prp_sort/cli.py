@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .algorithms import Algorithm, PivotStrategy
@@ -57,7 +58,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     with open(args.config, encoding="utf-8") as handle:
-        raw = json.load(handle)
+        try:
+            raw = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise InvalidConfig(f"{args.config} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise InvalidConfig(f"{args.config} must hold a JSON object, got {type(raw).__name__}")
     overrides = {
         "batch_size": args.batch_size,
         "pivot": args.pivot,
@@ -69,17 +75,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raw["algorithms"] = [{"algorithm": args.algo, **overrides}]
     elif overrides:
         raise InvalidConfig("--batch-size, --pivot, --cache and --partial need --algo")
-    if args.k is not None:
-        raw["k"] = args.k
-        for entry in raw.get("algorithms", []):
-            entry["k"] = args.k
-    if args.seed is not None:
-        raw["seed"] = args.seed
     config = config_from_dict(raw)
-    if args.format is not None:
-        config.out_format = args.format
-    if args.out is not None:
-        config.out_path = args.out
+    if args.k is not None:
+        algorithms = [replace(algo, k=args.k) for algo in config.algorithms]
+        config = replace(config, k=args.k, algorithms=algorithms)
+    settings = {"master_seed": args.seed, "out_format": args.format, "out_path": args.out}
+    config = replace(config, **{key: value for key, value in settings.items() if value is not None})
     report = run_experiment(config)
     emit_report(report, config.out_format, config.out_path)
     if config.out_path not in (None, "-"):

@@ -41,9 +41,5 @@ class FormatError(RankingError):
         self.line = line
 
 
-class AggregateMismatch(RankingError):
-    """Aggregate rows disagree with per-query rows at emission time."""
-
-
 class ParseFallbackWarning(UserWarning):
     """An LLM completion carried no recognizable label; fell back to First."""

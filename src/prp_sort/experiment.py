@@ -14,10 +14,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import sys
-from dataclasses import dataclass, field, fields, replace
-from typing import Any
+from dataclasses import dataclass, field, replace
+from typing import Any, Sequence
 
 from .algorithms import Algorithm, AlgoConfig, PivotStrategy, run_algorithm
 from .datasets import (
@@ -27,20 +26,20 @@ from .datasets import (
     load_qrels,
     load_run_file,
 )
-from .errors import AggregateMismatch, BackendFailure, InvalidConfig
+from .errors import BackendFailure, InvalidConfig
 from .metrics import aggregate, ndcg_at_k, percent_gain
 from .model import CostLedger
 from .oracles import LlmEndpoint, LlmOracle, NoisyOracle, Oracle, ScoreOracle
 from .seeding import stable_seed
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticSpec:
     num_queries: int
     n: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class FileSource:
     """TREC-format inputs. The optional TSV maps are only needed when the
     llm oracle is selected (run files carry no text)."""
@@ -52,7 +51,7 @@ class FileSource:
     depth: int = 100
 
 
-@dataclass
+@dataclass(frozen=True)
 class OracleSpec:
     kind: str = "score"  # score | noisy | llm
     flip_probability: float = 0.0
@@ -60,15 +59,41 @@ class OracleSpec:
     endpoint: LlmEndpoint | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One sweep: dataset, algorithm matrix, oracle, run-level k and seed, and
+    output. The checks run on construction, so an invalid config (also one
+    made with ``dataclasses.replace``) cannot exist; the matrix is stored as
+    a tuple, so it cannot be changed in place either."""
+
     dataset: SyntheticSpec | FileSource
-    algorithms: list[AlgoConfig]
+    algorithms: Sequence[AlgoConfig]
     oracle: OracleSpec = field(default_factory=OracleSpec)
     k: int = 10
     master_seed: int = 0
     out_path: str | None = None
     out_format: str = "csv"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "algorithms", tuple(self.algorithms))
+        if self.k < 1:
+            raise InvalidConfig(f"k must be >= 1, got {self.k}")
+        if not self.algorithms:
+            raise InvalidConfig("the algorithm matrix is empty")
+        if self.out_format not in ("csv", "jsonl"):
+            raise InvalidConfig(f"output format must be csv or jsonl, got {self.out_format!r}")
+        if self.oracle.kind not in ("score", "noisy", "llm"):
+            raise InvalidConfig(f"oracle kind must be score, noisy or llm, got {self.oracle.kind!r}")
+        if isinstance(self.dataset, SyntheticSpec) and self.oracle.kind == "llm":
+            raise InvalidConfig("synthetic datasets carry no text; use the score or noisy oracle")
+        if self.oracle.kind == "llm" and self.oracle.endpoint is None:
+            raise InvalidConfig("llm oracle requires an endpoint")
+        # Aggregates are grouped by label, so two entries sharing one would be
+        # silently merged into a single row.
+        labels = [algo.label() for algo in self.algorithms]
+        duplicates = sorted({label for label in labels if labels.count(label) > 1})
+        if duplicates:
+            raise InvalidConfig(f"algorithm entries share the labels {duplicates}")
 
 
 @dataclass
@@ -119,121 +144,116 @@ class AggregateRow:
 @dataclass
 class ExperimentReport:
     rows: list[QueryRow]
-    aggregates: list[AggregateRow]
+
+    @property
+    def aggregates(self) -> list[AggregateRow]:
+        """The aggregate rows, computed from ``rows`` on every access."""
+        return compute_aggregates(self.rows)
 
 
 _PIVOTS = {p.value: p for p in PivotStrategy}
 _ALGORITHMS = {a.value: a for a in Algorithm}
+_REQUIRED = object()
+_JSON_KINDS = {
+    int: "an integer", float: "a number", bool: "true or false",
+    str: "a string", dict: "an object", list: "a list",
+}
+
+
+def _read(section: Any, key: str, kind: type, where: str, default: Any = _REQUIRED) -> Any:
+    """``section[key]``, checked to be a JSON value of ``kind``; a missing key
+    or null gives ``default``, and is an error without one. A bool never
+    counts as a number; an int is accepted as a float."""
+    if not isinstance(section, dict):
+        raise InvalidConfig(f"{where} must be an object, got {type(section).__name__}")
+    value = section.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise InvalidConfig(f"{where} is missing {key!r}")
+        return default
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        raise InvalidConfig(f"{where}: {key!r} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
 
 
 def algo_config_from_dict(entry: dict[str, Any], default_k: int) -> AlgoConfig:
     """Build one AlgoConfig from a config-file mapping."""
-    known = {"algorithm", "k", "batch_size", "use_cache", "pivot", "partial"}
-    unknown = set(entry) - known
+    where = "algorithm entry"
+    name = _read(entry, "algorithm", str, where)
+    unknown = set(entry) - {"algorithm", "k", "batch_size", "use_cache", "pivot", "partial"}
     if unknown:
         raise InvalidConfig(f"unknown algorithm config keys: {sorted(unknown)}")
-    try:
-        algorithm = _ALGORITHMS[entry["algorithm"]]
-    except KeyError:
-        raise InvalidConfig(
-            f"algorithm must be one of {sorted(_ALGORITHMS)}, got {entry.get('algorithm')!r}"
-        ) from None
-    pivot_name = entry.get("pivot", PivotStrategy.MEDIAN_OF_THREE.value)
+    if name not in _ALGORITHMS:
+        raise InvalidConfig(f"algorithm must be one of {sorted(_ALGORITHMS)}, got {name!r}")
+    pivot_name = _read(entry, "pivot", str, where, PivotStrategy.MEDIAN_OF_THREE.value)
     if pivot_name not in _PIVOTS:
         raise InvalidConfig(f"pivot must be one of {sorted(_PIVOTS)}, got {pivot_name!r}")
     return AlgoConfig(
-        algorithm=algorithm,
-        k=int(entry.get("k", default_k)),
-        batch_size=int(entry.get("batch_size", 1)),
-        use_cache=bool(entry.get("use_cache", False)),
+        algorithm=_ALGORITHMS[name],
+        k=_read(entry, "k", int, where, default_k),
+        batch_size=_read(entry, "batch_size", int, where, 1),
+        use_cache=_read(entry, "use_cache", bool, where, False),
         pivot=_PIVOTS[pivot_name],
-        partial=bool(entry.get("partial", True)),
+        partial=_read(entry, "partial", bool, where, True),
     )
 
 
 def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON config document."""
-    try:
-        dataset_raw = raw["dataset"]
-        algorithms_raw = raw["algorithms"]
-    except KeyError as exc:
-        raise InvalidConfig(f"config is missing the {exc.args[0]!r} section") from None
+    dataset_raw = _read(raw, "dataset", dict, "config")
+    algorithms_raw = _read(raw, "algorithms", list, "config")
     if "synthetic" in dataset_raw:
-        synth = dataset_raw["synthetic"]
+        synth = _read(dataset_raw, "synthetic", dict, "dataset")
         dataset: SyntheticSpec | FileSource = SyntheticSpec(
-            num_queries=int(synth["queries"]), n=int(synth["n"])
+            num_queries=_read(synth, "queries", int, "dataset.synthetic"),
+            n=_read(synth, "n", int, "dataset.synthetic"),
         )
     elif "run" in dataset_raw:
         dataset = FileSource(
-            run_path=dataset_raw["run"],
-            qrels_path=dataset_raw["qrels"],
-            queries_path=dataset_raw.get("queries"),
-            passages_path=dataset_raw.get("passages"),
-            depth=int(dataset_raw.get("depth", 100)),
+            run_path=_read(dataset_raw, "run", str, "dataset"),
+            qrels_path=_read(dataset_raw, "qrels", str, "dataset"),
+            queries_path=_read(dataset_raw, "queries", str, "dataset", None),
+            passages_path=_read(dataset_raw, "passages", str, "dataset", None),
+            depth=_read(dataset_raw, "depth", int, "dataset", 100),
         )
     else:
         raise InvalidConfig("dataset must carry either a 'synthetic' spec or 'run'+'qrels' paths")
-    k = int(raw.get("k", 10))
-    oracle_raw = raw.get("oracle", {"kind": "score"})
-    kind = oracle_raw.get("kind", "score")
-    if kind not in ("score", "noisy", "llm"):
-        raise InvalidConfig(f"oracle kind must be score, noisy or llm, got {kind!r}")
+    k = _read(raw, "k", int, "config", 10)
+    oracle_raw = _read(raw, "oracle", dict, "config", {})
+    kind = _read(oracle_raw, "kind", str, "oracle", "score")
     endpoint = None
     if kind == "llm":
-        try:
-            ep = oracle_raw["endpoint"]
-            endpoint = LlmEndpoint(
-                url=ep["url"],
-                model=ep.get("model", "default"),
-                api_key_env=ep.get("api_key_env", "PRP_SORT_API_KEY"),
-                timeout_s=float(ep.get("timeout_s", 30.0)),
-                prompt_template=ep.get("prompt_template"),
-                retries=int(ep.get("retries", 1)),
-            )
-        except KeyError as exc:
-            raise InvalidConfig(f"llm oracle config is missing {exc.args[0]!r}") from None
+        ep = _read(oracle_raw, "endpoint", dict, "oracle")
+        endpoint = LlmEndpoint(
+            url=_read(ep, "url", str, "oracle.endpoint"),
+            model=_read(ep, "model", str, "oracle.endpoint", "default"),
+            api_key_env=_read(ep, "api_key_env", str, "oracle.endpoint", "PRP_SORT_API_KEY"),
+            timeout_s=_read(ep, "timeout_s", float, "oracle.endpoint", 30.0),
+            prompt_template=_read(ep, "prompt_template", str, "oracle.endpoint", None),
+            retries=_read(ep, "retries", int, "oracle.endpoint", 1),
+        )
     oracle = OracleSpec(
         kind=kind,
-        flip_probability=float(oracle_raw.get("flip_probability", 0.0)),
-        seed=int(oracle_raw.get("seed", 0)),
+        flip_probability=_read(oracle_raw, "flip_probability", float, "oracle", 0.0),
+        seed=_read(oracle_raw, "seed", int, "oracle", 0),
         endpoint=endpoint,
     )
-    output_raw = raw.get("output", {})
-    config = ExperimentConfig(
+    output_raw = _read(raw, "output", dict, "config", {})
+    return ExperimentConfig(
         dataset=dataset,
         algorithms=[algo_config_from_dict(a, k) for a in algorithms_raw],
         oracle=oracle,
         k=k,
-        master_seed=int(raw.get("seed", 0)),
-        out_path=output_raw.get("path"),
-        out_format=output_raw.get("format", "csv"),
+        master_seed=_read(raw, "seed", int, "config", 0),
+        out_path=_read(output_raw, "path", str, "output", None),
+        out_format=_read(output_raw, "format", str, "output", "csv"),
     )
-    _validate_config(config)
-    return config
 
 
 def load_config(path: str) -> ExperimentConfig:
     with open(path, encoding="utf-8") as handle:
         return config_from_dict(json.load(handle))
-
-
-def _validate_config(config: ExperimentConfig) -> None:
-    if config.k < 1:
-        raise InvalidConfig(f"k must be >= 1, got {config.k}")
-    if not config.algorithms:
-        raise InvalidConfig("the algorithm matrix is empty")
-    if config.out_format not in ("csv", "jsonl"):
-        raise InvalidConfig(f"output format must be csv or jsonl, got {config.out_format!r}")
-    if isinstance(config.dataset, SyntheticSpec) and config.oracle.kind == "llm":
-        raise InvalidConfig("synthetic datasets carry no text; use the score or noisy oracle")
-    if config.oracle.kind == "llm" and config.oracle.endpoint is None:
-        raise InvalidConfig("llm oracle requires an endpoint")
-    # Aggregates are grouped by label, so two entries sharing one would be
-    # silently merged into a single row.
-    labels = [algo.label() for algo in config.algorithms]
-    duplicates = sorted({label for label in labels if labels.count(label) > 1})
-    if duplicates:
-        raise InvalidConfig(f"algorithm entries share the labels {duplicates}")
 
 
 def _load_dataset(config: ExperimentConfig) -> Dataset:
@@ -298,14 +318,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     Each cell gets a fresh executor and cache. Backend failures mark the
     cell failed and move on; anything structural still raises.
     """
-    _validate_config(config)
     dataset = _load_dataset(config)
     has_grades = dataset.grades is not None
     rows: list[QueryRow] = []
     for algo in config.algorithms:
-        label = algo.label()
-        pivot = algo.pivot.value if algo.algorithm is Algorithm.QUICKSORT else None
-        partial = algo.partial if algo.algorithm is Algorithm.QUICKSORT else None
+        columns = algo.columns()
         for query in dataset.queries:
             cell = replace(algo, seed=stable_seed("run", config.master_seed, query.qid))
             try:
@@ -325,19 +342,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             rows.append(
                 QueryRow(
                     query_id=query.qid,
-                    algorithm=label,
                     status=status,
-                    k=algo.k,
-                    batch_size=algo.batch_size,
-                    pivot=pivot,
-                    cached=algo.use_cache,
-                    partial=partial,
                     ndcg=ndcg,
                     config=algo,
+                    **columns,
                     **counts,
                 )
             )
-    return ExperimentReport(rows=rows, aggregates=compute_aggregates(rows))
+    return ExperimentReport(rows=rows)
 
 
 def compute_aggregates(rows: list[QueryRow]) -> list[AggregateRow]:
@@ -347,18 +359,12 @@ def compute_aggregates(rows: list[QueryRow]) -> list[AggregateRow]:
     in mean inference calls over that baseline's group, when the baseline is
     present with the same k.
     """
-    order: list[str] = []
     groups: dict[str, list[QueryRow]] = {}
     for row in rows:
-        if row.algorithm not in groups:
-            order.append(row.algorithm)
-            groups[row.algorithm] = []
-        groups[row.algorithm].append(row)
+        groups.setdefault(row.algorithm, []).append(row)
     aggregates: list[AggregateRow] = []
-    for label in order:
-        group = groups[label]
+    for group in groups.values():
         ok = [r for r in group if r.status == "ok"]
-        sample = group[0]
         stats: dict[str, float | None] = {}
         if ok:
             comp = aggregate([r.comparisons for r in ok])
@@ -374,20 +380,15 @@ def compute_aggregates(rows: list[QueryRow]) -> list[AggregateRow]:
             )
         aggregates.append(
             AggregateRow(
-                algorithm=label,
-                k=sample.k,
-                batch_size=sample.batch_size,
-                pivot=sample.pivot,
-                cached=sample.cached,
-                partial=sample.partial,
+                **group[0].config.columns(),
                 n_queries=len(ok),
                 failures=len(group) - len(ok),
                 **stats,
             )
         )
     by_label = {a.algorithm: a for a in aggregates}
-    for agg, label in zip(aggregates, order):
-        wanted = groups[label][0].config.baseline()
+    for agg, group in zip(aggregates, groups.values()):
+        wanted = group[0].config.baseline()
         baseline = by_label.get(wanted.label()) if wanted is not None else None
         if (
             baseline is not None
@@ -449,27 +450,6 @@ def _row_record(row: QueryRow | AggregateRow) -> dict[str, Any]:
     }
 
 
-def _check_consistency(report: ExperimentReport) -> None:
-    recomputed = compute_aggregates(report.rows)
-    if len(recomputed) != len(report.aggregates):
-        raise AggregateMismatch(
-            f"report carries {len(report.aggregates)} aggregate rows, "
-            f"rows imply {len(recomputed)}"
-        )
-    for have, want in zip(report.aggregates, recomputed):
-        for f in fields(AggregateRow):
-            a, b = getattr(have, f.name), getattr(want, f.name)
-            if isinstance(a, float) and isinstance(b, float):
-                if not math.isclose(a, b, rel_tol=0.0, abs_tol=1e-9):
-                    raise AggregateMismatch(
-                        f"{have.algorithm}: {f.name} {a!r} != recomputed {b!r}"
-                    )
-            elif a != b:
-                raise AggregateMismatch(
-                    f"{have.algorithm}: {f.name} {a!r} != recomputed {b!r}"
-                )
-
-
 def _format_cell(name: str, value: Any) -> str:
     if value is None:
         return ""
@@ -486,12 +466,10 @@ def emit_report(report: ExperimentReport, out_format: str, path: str | None) -> 
     CSV uses a fixed column order (REPORT_COLUMNS), '.' decimals, and 4
     decimal places for reals; JSON lines carry one object per row with the
     same stable keys, full float precision, and nulls for empty cells.
-    Aggregates are cross-checked against the per-query rows before anything
-    is written. A path of None or '-' writes to stdout.
+    A path of None or '-' writes to stdout.
     """
     if out_format not in ("csv", "jsonl"):
         raise InvalidConfig(f"output format must be csv or jsonl, got {out_format!r}")
-    _check_consistency(report)
     records = [_row_record(r) for r in report.rows]
     records += [_row_record(a) for a in report.aggregates]
     buffer = io.StringIO()

@@ -46,3 +46,14 @@ def test_every_outside_use_is_exported():
     used = _outside_uses()
     assert "run_experiment" in used and "select_pivot" in used  # the scan sees both forms
     assert used - STALE <= set(prp_sort.__all__), sorted(used - STALE - set(prp_sort.__all__))
+
+
+def test_readme_example_runs_and_gives_its_stated_ranking():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    stated = '# ranking == ["d2", "d3"]'
+    assert stated in block
+    for code in (block.split(stated)[0], block):
+        namespace: dict = {}
+        exec(compile(code, "README.md", "exec"), namespace)
+        assert namespace["ranking"] == ["d2", "d3"]

@@ -102,6 +102,23 @@ class TestRun:
         assert main(["run", "--config", config]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"dataset": ',
+            '[{"algorithm": "heapsort"}]',
+            '{"dataset": {"synthetic": {"queries": 2}}, "algorithms": [{"algorithm": "heapsort"}]}',
+            '{"dataset": {"synthetic": {"queries": 2, "n": 8}},'
+            ' "algorithms": [{"algorithm": "heapsort", "k": "ten"}]}',
+        ],
+        ids=["invalid-json", "top-level-list", "synthetic-without-n", "k-not-an-integer"],
+    )
+    def test_malformed_config_file_exits_nonzero(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["run", "--config", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_invalid_override_combination_exits_nonzero(self, tmp_path, capsys):
         config = write_config(tmp_path)
         code = main(["run", "--config", config, "--algo", "heapsort", "--batch-size", "4"])

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +19,6 @@ from prp_sort import (
     load_config,
     run_experiment,
 )
-from prp_sort.errors import AggregateMismatch
 from prp_sort.experiment import (
     REPORT_COLUMNS,
     ExperimentReport,
@@ -42,6 +42,19 @@ def small_config(**overrides) -> ExperimentConfig:
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def minimal_raw() -> dict:
+    """A valid config document with one entry per algorithm."""
+    return {
+        "dataset": {"synthetic": {"queries": 2, "n": 6}},
+        "oracle": {"kind": "noisy", "flip_probability": 0.1},
+        "algorithms": [
+            {"algorithm": "heapsort"},
+            {"algorithm": "quicksort", "batch_size": 2},
+            {"algorithm": "bubblesort", "use_cache": True},
+        ],
+    }
 
 
 def write(tmp_path, name, text):
@@ -139,9 +152,10 @@ class TestRunExperiment:
         run_path = write(tmp_path, "run.txt", RUN_TEXT)
         qrels_path = write(tmp_path, "qrels.txt", QRELS_TEXT)
         config = small_config(
-            dataset=FileSource(run_path=run_path, qrels_path=qrels_path), k=2
+            dataset=FileSource(run_path=run_path, qrels_path=qrels_path),
+            algorithms=[AlgoConfig(Algorithm.HEAPSORT, k=2)],
+            k=2,
         )
-        config.algorithms = [AlgoConfig(Algorithm.HEAPSORT, k=2)]
         report = run_experiment(config)
         q1 = next(r for r in report.rows if r.query_id == "q1")
         assert q1.ndcg == pytest.approx(1.0)
@@ -159,11 +173,10 @@ class TestRunExperiment:
 
         def rows_for(run_path):
             config = small_config(
-                dataset=FileSource(run_path=run_path, qrels_path=qrels_path), k=2
+                dataset=FileSource(run_path=run_path, qrels_path=qrels_path),
+                algorithms=[AlgoConfig(Algorithm.QUICKSORT, k=2, pivot=PivotStrategy.RANDOM)],
+                k=2,
             )
-            config.algorithms = [
-                AlgoConfig(Algorithm.QUICKSORT, k=2, pivot=PivotStrategy.RANDOM)
-            ]
             report = run_experiment(config)
             return {r.query_id: r for r in report.rows}
 
@@ -193,8 +206,8 @@ class TestRunExperiment:
                 kind="llm",
                 endpoint=LlmEndpoint(url="http://127.0.0.1:9/dead", retries=0, timeout_s=0.3),
             ),
+            algorithms=[AlgoConfig(Algorithm.HEAPSORT, k=2)],
         )
-        config.algorithms = [AlgoConfig(Algorithm.HEAPSORT, k=2)]
         report = run_experiment(config)
         assert all(r.status == "failed" for r in report.rows)
         agg = report.aggregates[0]
@@ -213,11 +226,8 @@ class TestRunExperiment:
             run_experiment(config)
 
     def test_llm_on_synthetic_is_rejected(self):
-        config = small_config(
-            oracle=OracleSpec(kind="llm", endpoint=LlmEndpoint(url="http://x/"))
-        )
-        with pytest.raises(InvalidConfig):
-            run_experiment(config)
+        with pytest.raises(InvalidConfig, match="synthetic"):
+            small_config(oracle=OracleSpec(kind="llm", endpoint=LlmEndpoint(url="http://x/")))
 
     def test_noisy_oracle_changes_outcomes_but_stays_deterministic(self):
         noisy = small_config(oracle=OracleSpec(kind="noisy", flip_probability=0.3, seed=4))
@@ -324,13 +334,57 @@ class TestConfigParsing:
             )
         twins = [AlgoConfig(Algorithm.HEAPSORT, k=3), AlgoConfig(Algorithm.HEAPSORT, k=10)]
         with pytest.raises(InvalidConfig, match="heapsort"):
-            run_experiment(small_config(algorithms=twins))
+            small_config(algorithms=twins)
+
+    @pytest.mark.parametrize(
+        "path, value, named",
+        [
+            (("dataset", "synthetic"), {"queries": 2}, "'n'"),
+            (("algorithms", 0, "k"), "ten", "'k'"),
+            (("algorithms", 0, "k"), True, "'k'"),
+            (("algorithms", 1, "batch_size"), 2.5, "'batch_size'"),
+            (("algorithms", 2, "use_cache"), "false", "'use_cache'"),
+            (("algorithms", 1, "partial"), "no", "'partial'"),
+            (("algorithms",), "heapsort", "'algorithms'"),
+            (("dataset",), {"run": "run.txt"}, "'qrels'"),
+            (("oracle", "flip_probability"), "x", "'flip_probability'"),
+            (("dataset",), [], "'dataset'"),
+            (("oracle",), "score", "'oracle'"),
+        ],
+    )
+    def test_malformed_value_rejected(self, path, value, named):
+        raw = minimal_raw()
+        section = raw
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        with pytest.raises(InvalidConfig, match=named):
+            config_from_dict(raw)
+
+    def test_ints_accepted_for_floats(self):
+        raw = minimal_raw()
+        raw["oracle"]["flip_probability"] = 0
+        assert config_from_dict(raw).oracle.flip_probability == 0
+        raw["dataset"] = {"run": "run.txt", "qrels": "qrels.txt"}
+        raw["oracle"] = {"kind": "llm", "endpoint": {"url": "http://x/", "timeout_s": 5}}
+        assert config_from_dict(raw).oracle.endpoint.timeout_s == 5
+
+    def test_replace_cannot_build_an_invalid_config(self):
+        with pytest.raises(InvalidConfig, match="format"):
+            replace(small_config(), out_format="xml")
+        with pytest.raises(InvalidConfig, match="matrix"):
+            replace(small_config(), algorithms=[])
+
+    def test_matrix_cannot_be_changed_in_place(self):
+        # Appending a second heapsort would merge both into one aggregate row.
+        with pytest.raises(AttributeError):
+            small_config().algorithms.append(AlgoConfig(Algorithm.HEAPSORT, k=5))
 
 
 class TestEmission:
     def test_empty_report_is_header_only_csv(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit_report(ExperimentReport(rows=[], aggregates=[]), "csv", str(path))
+        emit_report(ExperimentReport(rows=[]), "csv", str(path))
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines == [",".join(REPORT_COLUMNS)]
 
@@ -351,7 +405,7 @@ class TestEmission:
             ndcg=0.51234,
             config=AlgoConfig(Algorithm.HEAPSORT, k=3),
         )
-        report = ExperimentReport(rows=[row], aggregates=compute_aggregates([row]))
+        report = ExperimentReport(rows=[row])
         path = tmp_path / "one.csv"
         emit_report(report, "csv", str(path))
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -405,13 +459,7 @@ class TestEmission:
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
 
-    def test_tampered_aggregates_are_caught(self, tmp_path):
-        report = run_experiment(small_config())
-        report.aggregates[0].mean_comparisons += 1.0
-        with pytest.raises(AggregateMismatch):
-            emit_report(report, "csv", str(tmp_path / "bad.csv"))
-
     def test_unknown_format_rejected(self, tmp_path):
-        report = ExperimentReport(rows=[], aggregates=[])
+        report = ExperimentReport(rows=[])
         with pytest.raises(InvalidConfig):
             emit_report(report, "xml", str(tmp_path / "x"))
