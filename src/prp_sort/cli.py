@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
 from . import __version__
 from .algorithms import Algorithm, PivotStrategy
 from .errors import InvalidConfig, RankingError
-from .experiment import ExperimentReport, config_from_dict, emit_report, run_experiment
+from .experiment import (
+    ExperimentReport,
+    config_from_dict,
+    emit_report,
+    read_config_json,
+    run_experiment,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,13 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    with open(args.config, encoding="utf-8") as handle:
-        try:
-            raw = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InvalidConfig(f"{args.config} is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise InvalidConfig(f"{args.config} must hold a JSON object, got {type(raw).__name__}")
+    raw = read_config_json(args.config)
     overrides = {
         "batch_size": args.batch_size,
         "pivot": args.pivot,

@@ -251,9 +251,21 @@ def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
     )
 
 
-def load_config(path: str) -> ExperimentConfig:
+def read_config_json(path: str) -> dict[str, Any]:
+    """The JSON object in a config file; a file that is not valid JSON, or
+    whose top level is not an object, is an InvalidConfig error."""
     with open(path, encoding="utf-8") as handle:
-        return config_from_dict(json.load(handle))
+        try:
+            raw = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise InvalidConfig(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise InvalidConfig(f"{path} must hold a JSON object, got {type(raw).__name__}")
+    return raw
+
+
+def load_config(path: str) -> ExperimentConfig:
+    return config_from_dict(read_config_json(path))
 
 
 def _load_dataset(config: ExperimentConfig) -> Dataset:
@@ -315,8 +327,9 @@ def _build_oracle(config: ExperimentConfig, dataset: Dataset, query) -> Oracle:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute the full (query x algorithm) sweep and aggregate it.
 
-    Each cell gets a fresh executor and cache. Backend failures mark the
-    cell failed and move on; anything structural still raises.
+    Each cell gets a fresh executor, cache and oracle, and closes its oracle
+    (for ``llm``, its one HTTP connection) when it ends. Backend failures
+    mark the cell failed and move on; anything structural still raises.
     """
     dataset = _load_dataset(config)
     has_grades = dataset.grades is not None
@@ -325,8 +338,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         columns = algo.columns()
         for query in dataset.queries:
             cell = replace(algo, seed=stable_seed("run", config.master_seed, query.qid))
+            oracle = _build_oracle(config, dataset, query)
             try:
-                oracle = _build_oracle(config, dataset, query)
                 ranking, ledger = run_algorithm(
                     [c.doc for c in query.candidates], cell, oracle
                 )
@@ -339,6 +352,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                     if has_grades
                     else None
                 )
+            finally:
+                oracle.close()
             rows.append(
                 QueryRow(
                     query_id=query.qid,

@@ -9,13 +9,16 @@ answers, only the ledger; a cache hit repeats the pair's first answer.
 
 from __future__ import annotations
 
+import http.client
+import json
 import os
+import select
+import urllib.parse
+import urllib.request
 import warnings
 from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Mapping, NamedTuple, Sequence
-
-import requests
 
 from .errors import (
     BackendFailure,
@@ -52,6 +55,10 @@ class Oracle:
         support override this.
         """
         return [self.compare(r) for r in reqs]
+
+    def close(self) -> None:
+        """Release what the oracle holds open; a no-op unless overridden."""
+
 
 class ScoreOracle(Oracle):
     """Ground-truth judge over a score map.
@@ -236,35 +243,122 @@ class LlmEndpoint:
     retries: int = 1
 
 
-def llm_compare_batch(endpoint: LlmEndpoint, prompts: Sequence[str]) -> list[Preference]:
+class _Connection:
+    """One kept-alive HTTP/1.1 connection to an endpoint, reused across calls.
+
+    The socket opens on the first POST and reopens after the peer or an
+    error closed it. Proxies come from the environment (``HTTP_PROXY``,
+    ``HTTPS_PROXY``, ``NO_PROXY``), read each time the socket opens: an
+    ``http`` URL is sent to the proxy with the absolute URL as the target,
+    an ``https`` URL is tunnelled through it with CONNECT.
+    """
+
+    def __init__(self, endpoint: LlmEndpoint):
+        self.endpoint = endpoint
+        self._http: http.client.HTTPConnection | None = None  # open; carried a reply
+        self._target = ""
+
+    def _open(self) -> http.client.HTTPConnection:
+        url = urllib.parse.urlsplit(self.endpoint.url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise http.client.InvalidURL(f"not an http(s) URL: {self.endpoint.url!r}")
+        address = url.netloc.rpartition("@")[2]
+        self._target = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
+        proxy = None
+        if not urllib.request.proxy_bypass(url.hostname):
+            proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy:
+            proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            address, origin = proxy_url.netloc.rpartition("@")[2], address
+            if url.scheme == "http":
+                self._target = f"http://{origin}{self._target}"
+        if url.scheme == "http":
+            return http.client.HTTPConnection(address, timeout=self.endpoint.timeout_s)
+        conn = http.client.HTTPSConnection(address, timeout=self.endpoint.timeout_s)
+        if proxy:
+            conn.set_tunnel(origin)
+        return conn
+
+    def post(self, body: bytes, headers: Mapping[str, str]) -> tuple[int, bytes]:
+        """POST ``body`` and read the whole reply, so the connection stays
+        usable whatever its status; returns (status, body).
+
+        A transport error closes the connection and is retried up to
+        endpoint.retries times, each time on a fresh connection. A request
+        that could not be sent, or got no status line, on a connection that
+        had already carried a reply is sent once more on a fresh one without
+        counting as a retry: the server may have closed the idle connection
+        just as the request went out.
+        """
+        retries = max(0, self.endpoint.retries)
+        resend = True
+        while True:
+            conn, self._http = self._http, None
+            # An idle socket that reads ready was closed by the peer; a reply
+            # that asked to close the connection has closed it already.
+            if conn is not None and (conn.sock is None or select.select([conn.sock], [], [], 0)[0]):
+                conn.close()
+                conn = None
+            reused = conn is not None
+            sent = answered = False
+            try:
+                conn = conn or self._open()
+                conn.request("POST", self._target, body, headers)
+                sent = True
+                response = conn.getresponse()
+                answered = True
+                data = response.read()
+            except BaseException as exc:
+                if conn is not None:
+                    conn.close()
+                if not isinstance(exc, (OSError, http.client.HTTPException)):
+                    raise
+                no_status_line = not answered and isinstance(exc, ConnectionResetError)
+                if reused and resend and (not sent or no_status_line):
+                    resend = False
+                elif retries:
+                    retries -= 1
+                else:
+                    raise BackendFailure(f"POST {self.endpoint.url} failed: {exc}") from exc
+            else:
+                self._http = conn
+                return response.status, data
+
+    def close(self) -> None:
+        if self._http is not None:
+            self._http.close()
+            self._http = None
+
+
+def llm_compare_batch(
+    endpoint: LlmEndpoint, prompts: Sequence[str], connection: _Connection | None = None
+) -> list[Preference]:
     """Resolve a batch of rendered prompts as one logical inference call.
 
-    Transport errors are retried up to endpoint.retries times before raising
-    BackendFailure; HTTP status or payload problems fail immediately.
+    The POST goes over ``connection`` when one is given (``LlmOracle`` passes
+    its own); otherwise a connection is opened for this call and closed after
+    it. Transport errors are retried up to endpoint.retries times before
+    raising BackendFailure; HTTP status or payload problems fail immediately.
     Completions without a recognizable label fall back to FIRST with a
     ParseFallbackWarning, which keeps long sweeps running.
     """
-    headers = {}
+    headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(endpoint.api_key_env, "")
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
-    payload = {"model": endpoint.model, "prompts": list(prompts)}
-    last_error: Exception | None = None
-    response = None
-    for _ in range(max(0, endpoint.retries) + 1):
+    body = json.dumps({"model": endpoint.model, "prompts": list(prompts)}).encode("utf-8")
+    if connection is None:
+        connection = _Connection(endpoint)
         try:
-            response = requests.post(
-                endpoint.url, json=payload, headers=headers, timeout=endpoint.timeout_s
-            )
-            break
-        except requests.RequestException as exc:
-            last_error = exc
-    if response is None:
-        raise BackendFailure(f"POST {endpoint.url} failed: {last_error}") from last_error
-    if response.status_code != 200:
-        raise BackendFailure(f"POST {endpoint.url} returned HTTP {response.status_code}")
+            status, data = connection.post(body, headers)
+        finally:
+            connection.close()
+    else:
+        status, data = connection.post(body, headers)
+    if status != 200:
+        raise BackendFailure(f"POST {endpoint.url} returned HTTP {status}")
     try:
-        completions = response.json()["completions"]
+        completions = json.loads(data)["completions"]
     except (ValueError, KeyError, TypeError) as exc:
         raise BackendFailure(f"malformed response from {endpoint.url}: {exc!r}") from exc
     if not isinstance(completions, list) or len(completions) != len(prompts):
@@ -291,7 +385,8 @@ class LlmOracle(Oracle):
 
     Each comparison issues a single-order prompt that names the request's
     first document as Passage A; both orders are never queried for one
-    comparison, matching one-inference-per-comparison accounting.
+    comparison, matching one-inference-per-comparison accounting. All calls
+    share one kept-alive connection, which ``close()`` releases.
     """
 
     def __init__(self, endpoint: LlmEndpoint, query: str, candidates: Iterable[Candidate]):
@@ -302,6 +397,7 @@ class LlmOracle(Oracle):
             if cand.text is None:
                 raise MissingText(f"candidate {cand.doc!r} has no passage text")
             self._by_doc[cand.doc] = cand
+        self._connection = _Connection(endpoint)
 
     def compare(self, req: ComparisonRequest) -> Preference:
         return self.compare_batch([req])[0]
@@ -315,4 +411,7 @@ class LlmOracle(Oracle):
             except KeyError as exc:
                 raise UnknownDoc(f"no passage for document {exc.args[0]!r}") from None
             prompts.append(build_prp_prompt(self.query, a, b, self.endpoint.prompt_template))
-        return llm_compare_batch(self.endpoint, prompts)
+        return llm_compare_batch(self.endpoint, prompts, self._connection)
+
+    def close(self) -> None:
+        self._connection.close()

@@ -2,7 +2,10 @@
 package use, and every such use resolves."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import prp_sort
@@ -57,3 +60,24 @@ def test_readme_example_runs_and_gives_its_stated_ranking():
         namespace: dict = {}
         exec(compile(code, "README.md", "exec"), namespace)
         assert namespace["ranking"] == ["d2", "d3"]
+
+
+def test_package_needs_no_third_party_http_client(server):
+    """With ``requests`` unimportable, the package imports and makes a call."""
+    code = (
+        "import sys\n"
+        "sys.modules['requests'] = None\n"
+        "import prp_sort\n"
+        f"endpoint = prp_sort.LlmEndpoint(url={server.url!r}, retries=0, timeout_s=5.0)\n"
+        "assert prp_sort.llm_compare_batch(endpoint, ['p1']) == [prp_sort.Preference.FIRST]\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert len(server.requests) == 1

@@ -273,6 +273,14 @@ class TestConfigParsing:
         assert config.k == 10
         assert config.out_format == "csv"
 
+    @pytest.mark.parametrize(
+        "text, message", [("{", "not valid JSON"), ("[]", "must hold a JSON object")]
+    )
+    def test_load_config_rejects_a_file_that_is_not_an_object(self, tmp_path, text, message):
+        path = write(tmp_path, "config.json", text)
+        with pytest.raises(InvalidConfig, match=message):
+            load_config(path)
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(InvalidConfig, match="algorithm"):
             config_from_dict(

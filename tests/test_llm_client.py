@@ -1,11 +1,12 @@
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from contextlib import closing
+from dataclasses import replace
 
 import pytest
-import requests
 
 from prp_sort import (
+    Algorithm,
+    AlgoConfig,
     BackendFailure,
     BatchExecutor,
     Candidate,
@@ -14,54 +15,22 @@ from prp_sort import (
     ParseFallbackWarning,
     Preference,
     llm_compare_batch,
+    run_experiment,
 )
 from prp_sort.errors import MissingText
+from prp_sort.experiment import ExperimentConfig, FileSource, OracleSpec
 from prp_sort.oracles import LlmOracle
 
 
-class _Handler(BaseHTTPRequestHandler):
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        payload = json.loads(self.rfile.read(length)) if length else {}
-        self.server.requests.append(
-            {"payload": payload, "authorization": self.headers.get("Authorization")}
-        )
-        if self.server.responses:
-            status, body = self.server.responses.pop(0)
-        else:
-            status, body = 200, None
-        if body is None:
-            body = {"completions": ["Passage A"] * len(payload.get("prompts", []))}
-        if callable(body):
-            body = body(payload)
-        data = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def server():
-    httpd = HTTPServer(("127.0.0.1", 0), _Handler)
-    httpd.requests = []
-    httpd.responses = []
-    thread = threading.Thread(
-        target=httpd.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
-    )
-    thread.start()
-    yield httpd
-    httpd.shutdown()
-    thread.join(timeout=5)
-
-
 def endpoint_for(server, **kwargs):
-    url = f"http://127.0.0.1:{server.server_address[1]}/complete"
-    return LlmEndpoint(url=url, model="test-model", retries=0, timeout_s=5.0, **kwargs)
+    return LlmEndpoint(url=server.url, model="test-model", retries=0, timeout_s=5.0, **kwargs)
+
+
+def wait_for(predicate, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return predicate()
 
 
 CANDIDATES = [
@@ -105,27 +74,21 @@ class TestLlmCompareBatch:
         with pytest.raises(BackendFailure):
             llm_compare_batch(endpoint, ["p1"])
 
-    def test_transport_failure_is_retried_once(self, server, monkeypatch):
-        real_post = requests.post
-        failures = {"left": 1}
-
-        def flaky_post(*args, **kwargs):
-            if failures["left"]:
-                failures["left"] -= 1
-                raise requests.ConnectionError("simulated drop")
-            return real_post(*args, **kwargs)
-
-        monkeypatch.setattr(requests, "post", flaky_post)
-        endpoint = endpoint_for(server)
-        endpoint = LlmEndpoint(url=endpoint.url, model="test-model", retries=1, timeout_s=5.0)
-        prefs = llm_compare_batch(endpoint, ["p1"])
-        assert prefs == [Preference.FIRST]
-        assert failures["left"] == 0
+    def test_transport_failure_is_retried_once(self, server):
+        server.responses.append("drop")
+        endpoint = replace(endpoint_for(server), retries=1)
+        assert llm_compare_batch(endpoint, ["p1"]) == [Preference.FIRST]
+        assert server.connections == 2
+        server.responses.append("drop")
+        with pytest.raises(BackendFailure, match="failed"):
+            llm_compare_batch(endpoint_for(server), ["p1"])
+        assert server.connections == 3
 
     def test_api_key_header_from_environment(self, server, monkeypatch):
         monkeypatch.setenv("PRP_SORT_API_KEY", "sekret")
         llm_compare_batch(endpoint_for(server), ["p1"])
         assert server.requests[0]["authorization"] == "Bearer sekret"
+        assert server.requests[0]["content_type"] == "application/json"
 
     def test_no_auth_header_without_key(self, server, monkeypatch):
         monkeypatch.delenv("PRP_SORT_API_KEY", raising=False)
@@ -145,14 +108,14 @@ class TestLlmOracle:
             return {"completions": completions}
 
         server.responses.extend([(200, by_position), (200, by_position)])
-        oracle = LlmOracle(endpoint_for(server), "which passage?", CANDIDATES)
         executor = BatchExecutor(batch_size=2)
         group = [
             ComparisonRequest("dA", "dB"),
             ComparisonRequest("dC", "dB"),
             ComparisonRequest("dA", "dC"),
         ]
-        prefs = executor.submit_group(oracle, group)
+        with closing(LlmOracle(endpoint_for(server), "which passage?", CANDIDATES)) as oracle:
+            prefs = executor.submit_group(oracle, group)
         assert prefs == [Preference.FIRST, Preference.SECOND, Preference.FIRST]
         assert len(server.requests) == 2  # ceil(3 / 2) posts
         assert [len(r["payload"]["prompts"]) for r in server.requests] == [2, 1]
@@ -162,23 +125,23 @@ class TestLlmOracle:
 
     def test_cached_misses_share_posts_and_repeats_post_nothing(self, server):
         docs = [Candidate(f"d{i}", text=f"passage {i}") for i in range(5)]
-        oracle = LlmOracle(endpoint_for(server), "which passage?", docs)
         executor = BatchExecutor(batch_size=4, use_cache=True)
         group = [ComparisonRequest(f"d{i}", "d4") for i in range(4)]
-        assert executor.submit_group(oracle, group) == [Preference.FIRST] * 4
-        assert len(server.requests) == 1
-        assert len(server.requests[0]["payload"]["prompts"]) == 4
-        assert executor.ledger.inference_calls == 1
-        # Same pairs, reversed: every answer comes from the memo, re-oriented.
         reversed_group = [ComparisonRequest("d4", f"d{i}") for i in range(4)]
-        assert executor.submit_group(oracle, reversed_group) == [Preference.SECOND] * 4
+        with closing(LlmOracle(endpoint_for(server), "which passage?", docs)) as oracle:
+            assert executor.submit_group(oracle, group) == [Preference.FIRST] * 4
+            assert len(server.requests) == 1
+            assert len(server.requests[0]["payload"]["prompts"]) == 4
+            assert executor.ledger.inference_calls == 1
+            # Same pairs, reversed: every answer comes from the memo, re-oriented.
+            assert executor.submit_group(oracle, reversed_group) == [Preference.SECOND] * 4
         assert len(server.requests) == 1
         assert executor.ledger.cache_hits == 4
         assert executor.ledger.inference_calls == 1
 
     def test_prompt_carries_query_and_both_passages(self, server):
-        oracle = LlmOracle(endpoint_for(server), "my query", CANDIDATES)
-        oracle.compare(ComparisonRequest("dA", "dB"))
+        with closing(LlmOracle(endpoint_for(server), "my query", CANDIDATES)) as oracle:
+            oracle.compare(ComparisonRequest("dA", "dB"))
         prompt = server.requests[0]["payload"]["prompts"][0]
         assert "my query" in prompt
         assert "alpha passage" in prompt
@@ -187,3 +150,113 @@ class TestLlmOracle:
     def test_candidates_without_text_are_rejected_upfront(self, server):
         with pytest.raises(MissingText):
             LlmOracle(endpoint_for(server), "q", [Candidate("dX")])
+
+
+def clear_proxies(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+
+
+class TestTransport:
+    """One kept-alive connection per oracle, and the rules for reusing it."""
+
+    def ask(self, oracle, calls=1):
+        return [oracle.compare(ComparisonRequest("dA", "dB")) for _ in range(calls)]
+
+    def test_calls_of_one_oracle_share_one_connection(self, server):
+        with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:
+            assert self.ask(oracle, 20) == [Preference.FIRST] * 20
+        assert len(server.requests) == 20
+        assert server.connections == 1
+        assert wait_for(lambda: server.closed == 1)
+
+    def test_idle_connection_closed_by_the_server_costs_no_failure(self, server):
+        server.close_after_reply = True
+        with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:
+            assert self.ask(oracle, 5) == [Preference.FIRST] * 5
+        assert len(server.requests) == 5
+        assert server.connections == 5
+
+    def test_idle_connection_that_reads_ready_is_not_reused(self, server):
+        # Some servers answer an idle timeout with an unasked 408 before they
+        # close; a request sent on that socket would read the 408 as its reply.
+        server.goodbye = b"HTTP/1.1 408 Request Timeout\r\nContent-Length: 0\r\n\r\n"
+        with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:
+            for calls in (1, 2, 3):
+                assert self.ask(oracle) == [Preference.FIRST]
+                assert wait_for(lambda: server.goodbyes == calls)
+        assert len(server.requests) == 3
+        assert server.connections == 3
+
+    def test_request_dropped_on_a_reused_connection_is_resent_once(self, server):
+        server.responses.extend([(200, None), "drop"])
+        with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:
+            assert self.ask(oracle, 2) == [Preference.FIRST] * 2
+            assert len(server.requests) == 3
+            assert server.connections == 2
+            # The resend is on a fresh connection; a drop there is a failure
+            # at retries=0.
+            server.responses.extend(["drop", "drop"])
+            with pytest.raises(BackendFailure, match="failed"):
+                self.ask(oracle)
+        assert server.connections == 3
+
+    def test_call_after_an_http_error_reuses_the_connection(self, server):
+        server.responses.append((500, {"error": "boom"}))
+        with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:
+            with pytest.raises(BackendFailure, match="HTTP 500"):
+                self.ask(oracle)
+            assert self.ask(oracle) == [Preference.FIRST]
+        assert server.connections == 1
+
+    def test_http_proxy_gets_the_absolute_url(self, server, monkeypatch):
+        clear_proxies(monkeypatch)
+        monkeypatch.setenv("HTTP_PROXY", server.url.rsplit("/", 1)[0])
+        endpoint = LlmEndpoint(url="http://backend.invalid/complete?v=1", retries=0)
+        assert llm_compare_batch(endpoint, ["p1"]) == [Preference.FIRST]
+        assert server.requests[0]["target"] == "http://backend.invalid/complete?v=1"
+
+    def test_no_proxy_bypasses_the_proxy(self, server, monkeypatch):
+        # The endpoint is local, so that bypassing needs no name lookup.
+        clear_proxies(monkeypatch)
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")  # nothing listens there
+        monkeypatch.setenv("NO_PROXY", "localhost,127.0.0.1")
+        assert llm_compare_batch(endpoint_for(server), ["p1"]) == [Preference.FIRST]
+        assert server.requests[0]["target"] == "/complete"
+
+    def test_https_is_tunnelled_through_the_proxy(self, server, monkeypatch):
+        clear_proxies(monkeypatch)
+        monkeypatch.setenv("HTTPS_PROXY", server.url.rsplit("/", 1)[0])
+        endpoint = LlmEndpoint(url="https://backend.invalid/complete", retries=0)
+        with pytest.raises(BackendFailure, match="502"):
+            llm_compare_batch(endpoint, ["p1"])
+        assert server.requests == [{"method": "CONNECT", "target": "backend.invalid:443"}]
+
+    def test_run_experiment_opens_one_connection_per_cell_and_closes_it(
+        self, server, tmp_path
+    ):
+        files = {
+            "run.txt": "q1 Q0 dA 1 2.0 r\nq1 Q0 dB 2 1.0 r\nq2 Q0 dA 1 2.0 r\nq2 Q0 dC 2 1.0 r\n",
+            "qrels.txt": "q1 0 dA 1\nq2 0 dC 1\n",
+            "queries.tsv": "q1\tfirst query\nq2\tsecond query\n",
+            "passages.tsv": "dA\ttext a\ndB\ttext b\ndC\ttext c\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        config = ExperimentConfig(
+            dataset=FileSource(
+                run_path=str(tmp_path / "run.txt"),
+                qrels_path=str(tmp_path / "qrels.txt"),
+                queries_path=str(tmp_path / "queries.tsv"),
+                passages_path=str(tmp_path / "passages.tsv"),
+            ),
+            algorithms=[AlgoConfig(Algorithm.HEAPSORT, k=1), AlgoConfig(Algorithm.BUBBLESORT, k=1)],
+            oracle=OracleSpec(kind="llm", endpoint=endpoint_for(server)),
+            k=1,
+        )
+        report = run_experiment(config)
+        assert [row.status for row in report.rows] == ["ok"] * 4
+        assert len(server.requests) == sum(row.inference_calls for row in report.rows)
+        assert server.connections == 4
+        assert wait_for(lambda: server.closed == 4)
