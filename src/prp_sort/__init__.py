@@ -8,13 +8,6 @@ comparisons and inference calls, the cost unit that dominates LLM-based
 reranking.
 """
 
-from importlib.metadata import PackageNotFoundError, version
-
-try:
-    __version__ = version("prp-sort")
-except PackageNotFoundError:  # running from a source tree
-    __version__ = "0.1.0"
-
 from .algorithms import (
     Algorithm,
     AlgoConfig,
@@ -95,3 +88,18 @@ __all__ = [
     "run_experiment",
     "select_pivot",
 ]
+
+
+def __getattr__(name: str) -> str:
+    # ``__version__`` is looked up on first use: importlib.metadata scans every
+    # installed distribution, a cost ``import prp_sort`` need not pay.
+    if name != "__version__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib.metadata import PackageNotFoundError, version
+
+    try:
+        value = version("prp-sort")
+    except PackageNotFoundError:  # running from a source tree
+        value = "0.1.0"
+    globals()["__version__"] = value
+    return value

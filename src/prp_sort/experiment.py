@@ -15,8 +15,9 @@ import csv
 import io
 import json
 import sys
+import threading
 from dataclasses import dataclass, field, replace
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .algorithms import Algorithm, AlgoConfig, PivotStrategy, run_algorithm
 from .datasets import (
@@ -31,6 +32,10 @@ from .metrics import aggregate, ndcg_at_k, percent_gain
 from .model import CostLedger
 from .oracles import LlmEndpoint, LlmOracle, NoisyOracle, Oracle, ScoreOracle
 from .seeding import stable_seed
+
+# Cells of an llm sweep in flight at once. Each worker thread gets its own
+# malloc arena, which put peak RSS past the benchmark's bound at 8.
+LLM_CONCURRENCY = 4
 
 
 @dataclass(frozen=True)
@@ -324,46 +329,120 @@ def _build_oracle(config: ExperimentConfig, dataset: Dataset, query) -> Oracle:
     )
 
 
+def _run_cell(
+    config: ExperimentConfig,
+    dataset: Dataset,
+    algo: AlgoConfig,
+    columns: dict[str, Any],
+    query,
+) -> QueryRow:
+    """Run one (query, algorithm) cell with its own oracle, executor and
+    cache. A backend failure gives a failed row; the oracle is closed however
+    the cell ends."""
+    cell = replace(algo, seed=stable_seed("run", config.master_seed, query.qid))
+    oracle = _build_oracle(config, dataset, query)
+    try:
+        ranking, ledger = run_algorithm([c.doc for c in query.candidates], cell, oracle)
+    except BackendFailure:
+        status, counts, ndcg = "failed", dict.fromkeys(CostLedger().as_dict()), None
+    else:
+        status, counts = "ok", ledger.as_dict()
+        ndcg = (
+            ndcg_at_k(ranking, dataset.grades, query.qid, config.k)
+            if dataset.grades is not None
+            else None
+        )
+    finally:
+        oracle.close()
+    return QueryRow(
+        query_id=query.qid,
+        status=status,
+        ndcg=ndcg,
+        config=algo,
+        **columns,
+        **counts,
+    )
+
+
+def _run_pooled(run_cell: Callable[[int], QueryRow], count: int, workers: int) -> list[QueryRow]:
+    """``[run_cell(i) for i in range(count)]``, computed on ``workers`` threads.
+
+    Each worker takes the next index under a lock and writes its row to that
+    index, so the rows keep their serial order. The first exception a cell
+    raises, or an interrupt of the calling thread, stops workers from taking
+    new indices; the cells already running finish, every thread is joined,
+    and the exception is raised.
+    """
+    rows: list[Any] = [None] * count
+    indices = iter(range(count))
+    lock = threading.Lock()
+    worker_done = threading.Condition(lock)
+    errors: list[BaseException] = []
+    done = 0
+
+    def work() -> None:
+        nonlocal done
+        try:
+            while True:
+                with lock:
+                    index = None if errors else next(indices, None)
+                if index is None:
+                    return
+                rows[index] = run_cell(index)
+        except BaseException as exc:  # raised again by the calling thread
+            with lock:
+                errors.append(exc)
+        finally:
+            with lock:
+                done += 1
+                worker_done.notify()
+
+    threads = [threading.Thread(target=work, name=f"prp-sort-cell-{n}") for n in range(workers)]
+    for thread in threads:
+        thread.start()
+    # Wait on the condition, not in Thread.join: on Python 3.11 a Ctrl-C that
+    # interrupts join marks the still running thread as stopped.
+    with worker_done:
+        while done < workers:
+            try:
+                worker_done.wait()
+            except BaseException as exc:  # e.g. Ctrl-C: start no new cell
+                errors.insert(0, exc)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return rows
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute the full (query x algorithm) sweep and aggregate it.
 
     Each cell gets a fresh executor, cache and oracle, and closes its oracle
     (for ``llm``, its one HTTP connection) when it ends. Backend failures
     mark the cell failed and move on; anything structural still raises.
+
+    ``score`` and ``noisy`` cells run one after another in the calling
+    thread. ``llm`` cells spend their time waiting on the backend, so they
+    run ``LLM_CONCURRENCY`` at a time on worker threads, each cell on its own
+    connection. Rows keep the serial order either way (algorithm-major,
+    query-minor), so reports are the same as a serial run's. An exception
+    other than a backend failure stops new cells from starting, lets the
+    running ones finish and close their connections, and is then raised.
     """
     dataset = _load_dataset(config)
-    has_grades = dataset.grades is not None
-    rows: list[QueryRow] = []
+    cells = []
     for algo in config.algorithms:
         columns = algo.columns()
-        for query in dataset.queries:
-            cell = replace(algo, seed=stable_seed("run", config.master_seed, query.qid))
-            oracle = _build_oracle(config, dataset, query)
-            try:
-                ranking, ledger = run_algorithm(
-                    [c.doc for c in query.candidates], cell, oracle
-                )
-            except BackendFailure:
-                status, counts, ndcg = "failed", dict.fromkeys(CostLedger().as_dict()), None
-            else:
-                status, counts = "ok", ledger.as_dict()
-                ndcg = (
-                    ndcg_at_k(ranking, dataset.grades, query.qid, config.k)
-                    if has_grades
-                    else None
-                )
-            finally:
-                oracle.close()
-            rows.append(
-                QueryRow(
-                    query_id=query.qid,
-                    status=status,
-                    ndcg=ndcg,
-                    config=algo,
-                    **columns,
-                    **counts,
-                )
-            )
+        cells += [(algo, columns, query) for query in dataset.queries]
+    if config.oracle.kind != "llm":
+        rows = [_run_cell(config, dataset, *cell) for cell in cells]
+    else:
+        rows = _run_pooled(
+            lambda index: _run_cell(config, dataset, *cells[index]),
+            len(cells),
+            min(LLM_CONCURRENCY, len(cells)),
+        )
     return ExperimentReport(rows=rows)
 
 

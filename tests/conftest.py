@@ -9,6 +9,11 @@ With ``server.close_after_reply`` set, every reply is followed by a close
 that the reply does not announce, as an idle timeout would do. With
 ``server.goodbye`` set to bytes, the server sends them unasked a moment after
 every reply, counts them in ``server.goodbyes`` and closes the connection.
+With ``server.reply_for`` set to a function of the request payload, its
+result is the reply to every request, in place of the queue, so a test can
+key replies on what a request asks rather than on when it arrives. Every
+request is held for ``server.delay_s`` seconds before its reply, and
+``server.peak_in_flight`` records the most requests served at once.
 """
 
 import json
@@ -36,15 +41,29 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         payload = json.loads(self.rfile.read(length)) if length else {}
-        self.server.requests.append(
-            {
-                "payload": payload,
-                "authorization": self.headers.get("Authorization"),
-                "content_type": self.headers.get("Content-Type"),
-                "target": self.path,
-            }
-        )
-        reply = self.server.responses.pop(0) if self.server.responses else (200, None)
+        with self.server.lock:
+            self.server.requests.append(
+                {
+                    "payload": payload,
+                    "authorization": self.headers.get("Authorization"),
+                    "content_type": self.headers.get("Content-Type"),
+                    "target": self.path,
+                }
+            )
+            if self.server.reply_for is not None:
+                reply = self.server.reply_for(payload)
+            else:
+                reply = self.server.responses.pop(0) if self.server.responses else (200, None)
+            self.server.in_flight += 1
+            self.server.peak_in_flight = max(self.server.peak_in_flight, self.server.in_flight)
+        try:
+            time.sleep(self.server.delay_s)
+            self._reply(payload, reply)
+        finally:
+            with self.server.lock:
+                self.server.in_flight -= 1
+
+    def _reply(self, payload, reply):
         if reply == "drop":
             self.close_connection = True
             return
@@ -71,7 +90,11 @@ class _Handler(BaseHTTPRequestHandler):
                 self.server.goodbyes += 1
             # Close only once the client has: on loopback, a close first makes
             # the client's next send draw a reset that discards the goodbye.
-            self.rfile.read()
+            # A client that closes with the goodbye unread resets the connection.
+            try:
+                self.rfile.read()
+            except ConnectionResetError:
+                pass
             self.close_connection = True
 
     def do_CONNECT(self):
@@ -93,6 +116,10 @@ class _Backend(ThreadingHTTPServer):
         self.close_after_reply = False
         self.goodbye: bytes | None = None
         self.goodbyes = 0
+        self.reply_for = None
+        self.delay_s = 0.0
+        self.in_flight = 0
+        self.peak_in_flight = 0
         self.connections = 0
         self.closed = 0
 

@@ -1,3 +1,6 @@
+import signal
+import sys
+import threading
 import time
 from contextlib import closing
 from dataclasses import replace
@@ -14,11 +17,13 @@ from prp_sort import (
     LlmEndpoint,
     ParseFallbackWarning,
     Preference,
+    emit_report,
     llm_compare_batch,
     run_experiment,
 )
+from prp_sort import experiment
 from prp_sort.errors import MissingText
-from prp_sort.experiment import ExperimentConfig, FileSource, OracleSpec
+from prp_sort.experiment import ExperimentConfig, FileSource, OracleSpec, SyntheticSpec
 from prp_sort.oracles import LlmOracle
 
 
@@ -31,6 +36,16 @@ def wait_for(predicate, timeout_s=5.0):
     while not predicate() and time.monotonic() < deadline:
         time.sleep(0.01)
     return predicate()
+
+
+def earlier_text_wins(payload):
+    """A reply body that prefers the alphabetically earlier passage text."""
+    completions = []
+    for prompt in payload["prompts"]:
+        a = prompt.split("Passage A: ")[1].split("\n")[0]
+        b = prompt.split("Passage B: ")[1].split("\n")[0]
+        completions.append("Passage A" if a < b else "Passage B")
+    return {"completions": completions}
 
 
 CANDIDATES = [
@@ -98,16 +113,7 @@ class TestLlmCompareBatch:
 
 class TestLlmOracle:
     def test_batched_execution_posts_once_per_chunk(self, server):
-        def by_position(payload):
-            # First passage (alphabetically earlier text) always wins.
-            completions = []
-            for prompt in payload["prompts"]:
-                a = prompt.split("Passage A: ")[1].split("\n")[0]
-                b = prompt.split("Passage B: ")[1].split("\n")[0]
-                completions.append("Passage A" if a < b else "Passage B")
-            return {"completions": completions}
-
-        server.responses.extend([(200, by_position), (200, by_position)])
+        server.responses.extend([(200, earlier_text_wins), (200, earlier_text_wins)])
         executor = BatchExecutor(batch_size=2)
         group = [
             ComparisonRequest("dA", "dB"),
@@ -260,3 +266,169 @@ class TestTransport:
         assert len(server.requests) == sum(row.inference_calls for row in report.rows)
         assert server.connections == 4
         assert wait_for(lambda: server.closed == 4)
+
+
+def query_text(qid):
+    return f"topic {qid}"
+
+
+def pool_config(server, tmp_path, queries, n, algorithms):
+    """An llm sweep over ``queries`` generated queries of ``n`` passages each."""
+    run, qrels, texts, passages = [], [], [], []
+    for q in range(queries):
+        qid = f"q{q}"
+        texts.append(f"{qid}\t{query_text(qid)}\n")
+        for d in range(n):
+            doc = f"{qid}d{d}"
+            run.append(f"{qid} Q0 {doc} {d + 1} {n - d}.0 r\n")
+            qrels.append(f"{qid} 0 {doc} {(d * 7 + q) % 3}\n")
+            passages.append(f"{doc}\tpassage {(d * 5 + q * 3) % n:02d} of {qid}\n")
+    files = {"run.txt": run, "qrels.txt": qrels, "queries.tsv": texts, "passages.tsv": passages}
+    for name, lines in files.items():
+        (tmp_path / name).write_text("".join(lines), encoding="utf-8")
+    return ExperimentConfig(
+        dataset=FileSource(
+            run_path=str(tmp_path / "run.txt"),
+            qrels_path=str(tmp_path / "qrels.txt"),
+            queries_path=str(tmp_path / "queries.tsv"),
+            passages_path=str(tmp_path / "passages.tsv"),
+        ),
+        algorithms=algorithms,
+        oracle=OracleSpec(kind="llm", endpoint=endpoint_for(server)),
+        k=3,
+    )
+
+
+def asks_about(payload, qid):
+    return f"Query: {query_text(qid)}\n" in payload["prompts"][0]
+
+
+class TestCellPool:
+    """``run_experiment`` runs llm cells LLM_CONCURRENCY at a time."""
+
+    def test_pooled_sweep_equals_the_serial_one(self, server, tmp_path, monkeypatch):
+        server.reply_for = lambda payload: (200, earlier_text_wins)
+        algorithms = [
+            AlgoConfig(Algorithm.HEAPSORT, k=3),
+            AlgoConfig(Algorithm.BUBBLESORT, k=3, use_cache=True),
+            AlgoConfig(Algorithm.QUICKSORT, k=3, batch_size=4),
+        ]
+        config = pool_config(server, tmp_path, queries=5, n=7, algorithms=algorithms)
+        assert experiment.LLM_CONCURRENCY == 4
+        rows, outputs = {}, {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # many thread switches inside every cell
+        try:
+            for workers in (4, 1):
+                monkeypatch.setattr(experiment, "LLM_CONCURRENCY", workers)
+                report = run_experiment(config)
+                rows[workers] = report.rows
+                for out_format in ("csv", "jsonl"):
+                    path = tmp_path / f"report-{workers}.{out_format}"
+                    emit_report(report, out_format, str(path))
+                    outputs[workers, out_format] = path.read_bytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [row.status for row in rows[4]] == ["ok"] * 15
+        assert rows[4] == rows[1]
+        assert [(row.algorithm, row.query_id) for row in rows[4]] == [
+            (algo.label(), f"q{q}") for algo in algorithms for q in range(5)
+        ]
+        for out_format in ("csv", "jsonl"):
+            assert outputs[4, out_format] == outputs[1, out_format]
+
+    def test_four_cells_in_flight_each_on_its_own_connection(self, server, tmp_path):
+        server.delay_s = 0.05
+        config = pool_config(
+            server, tmp_path, queries=6, n=3, algorithms=[AlgoConfig(Algorithm.HEAPSORT, k=1)]
+        )
+        report = run_experiment(config)
+        assert [row.status for row in report.rows] == ["ok"] * 6
+        assert server.peak_in_flight == 4
+        assert len(server.requests) == sum(row.inference_calls for row in report.rows)
+        assert wait_for(lambda: server.closed == 6)
+        assert server.connections == 6
+
+    def test_backend_failure_fails_only_its_own_cells(self, server, tmp_path):
+        server.reply_for = lambda payload: (
+            (500, {"error": "boom"}) if asks_about(payload, "q2") else (200, earlier_text_wins)
+        )
+        algorithms = [AlgoConfig(Algorithm.HEAPSORT, k=3), AlgoConfig(Algorithm.BUBBLESORT, k=3)]
+        config = pool_config(server, tmp_path, queries=6, n=5, algorithms=algorithms)
+        report = run_experiment(config)
+        statuses = {(row.algorithm, row.query_id): row.status for row in report.rows}
+        assert statuses == {
+            (algo.label(), f"q{q}"): "failed" if q == 2 else "ok"
+            for algo in algorithms
+            for q in range(6)
+        }
+        assert wait_for(lambda: server.closed == 12)
+        assert server.connections == 12
+
+    def run_failing_first_cell(self, server, tmp_path, monkeypatch, fail, events):
+        """Run a 9-cell sweep in which the first cell calls ``fail`` after its
+        algorithm, while the other cells that started keep running a while.
+        Every cell logs (event, query) pairs to ``events``."""
+        real_run_algorithm = experiment.run_algorithm
+
+        def run_algorithm(docs, cell, oracle):
+            events.append(("start", oracle.query))
+            result = real_run_algorithm(docs, cell, oracle)
+            if oracle.query == query_text("q0"):
+                events.append(("fail", oracle.query))
+                fail()
+                time.sleep(0.3)  # unless fail() raised, the longest-running cell
+            else:
+                time.sleep(0.2)  # still running, connection open, when q0 fails
+            events.append(("end", oracle.query))
+            return result
+
+        monkeypatch.setattr(experiment, "run_algorithm", run_algorithm)
+        config = pool_config(
+            server, tmp_path, queries=9, n=4, algorithms=[AlgoConfig(Algorithm.HEAPSORT, k=2)]
+        )
+        run_experiment(config)
+
+    def check_stopped(self, server, events, raised):
+        failed = events.index(("fail", query_text("q0")))
+        started = [query for kind, query in events if kind == "start"]
+        ended = [query for kind, query in events if kind == "end"]
+        assert all(kind != "start" for kind, _ in events[failed:])
+        assert set(started) <= {query_text(f"q{q}") for q in range(4)}
+        # Every cell that started and did not raise ran to its end before the
+        # sweep stopped.
+        assert sorted(ended) == sorted(set(started) - raised)
+        assert server.connections == len(started)
+        assert wait_for(lambda: server.closed == server.connections)
+
+    def test_other_error_stops_new_cells_and_propagates(self, server, tmp_path, monkeypatch):
+        def fail():
+            raise RuntimeError("not a backend failure")
+
+        events = []
+        with pytest.raises(RuntimeError, match="not a backend failure"):
+            self.run_failing_first_cell(server, tmp_path, monkeypatch, fail, events)
+        self.check_stopped(server, events, raised={query_text("q0")})
+
+    def test_interrupt_stops_new_cells(self, server, tmp_path, monkeypatch):
+        def fail():  # Ctrl-C, as a terminal delivers it
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+        assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+        events = []
+        with pytest.raises(KeyboardInterrupt):
+            self.run_failing_first_cell(server, tmp_path, monkeypatch, fail, events)
+        self.check_stopped(server, events, raised=set())
+
+    @pytest.mark.parametrize("kind", ["score", "noisy"])
+    def test_score_and_noisy_sweeps_start_no_thread(self, kind, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError(f"a {kind} sweep started a thread")
+
+        monkeypatch.setattr(experiment.threading, "Thread", no_thread)
+        config = ExperimentConfig(
+            dataset=SyntheticSpec(num_queries=6, n=8),
+            algorithms=[AlgoConfig(Algorithm.HEAPSORT, k=3)],
+            oracle=OracleSpec(kind=kind, flip_probability=0.1),
+        )
+        assert [row.status for row in run_experiment(config).rows] == ["ok"] * 6
