@@ -101,7 +101,7 @@ class ExperimentConfig:
             raise InvalidConfig(f"algorithm entries share the labels {duplicates}")
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryRow:
     """One (query, algorithm) cell. Cells whose oracle failed carry
     status='failed' and empty counts; they are excluded from aggregates."""
@@ -122,7 +122,7 @@ class QueryRow:
     config: AlgoConfig  # the matrix entry the cell ran; not a report column
 
 
-@dataclass
+@dataclass(slots=True)
 class AggregateRow:
     """Per algorithm-config statistics over the ok rows, plus the percentage
     gain in mean inference calls against the row's named baseline. The

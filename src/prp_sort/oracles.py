@@ -3,8 +3,10 @@
 Oracles answer ordered pairwise relevance questions. The executor is the one
 place where groups of independent questions are turned into counted inference
 calls, and the one place that caches answers: a group of g requests with h
-cache hits costs ceil((g - h) / batch_size) calls. Grouping never changes
-answers, only the ledger; a cache hit repeats the pair's first answer.
+cache hits costs ceil((g - h) / batch_size) calls, each a chunk of misses
+asked through ``compare`` if it holds one request, else ``compare_batch``.
+Grouping never changes answers, only the ledger; a cache hit repeats the
+pair's first answer.
 """
 
 from __future__ import annotations
@@ -42,7 +44,11 @@ class ComparisonRequest(NamedTuple):
 class Oracle:
     """Answers pairwise relevance questions.
 
-    Subclasses must be deterministic for a fixed configuration and seed.
+    Subclasses must be deterministic for a fixed configuration and seed. The
+    executor asks a one-request chunk through ``compare`` and a wider one
+    through ``compare_batch``, each as one inference call. Defining
+    ``compare`` is enough; a subclass that overrides ``compare_batch`` must
+    answer ``compare`` the same way, as ``LlmOracle`` does.
     """
 
     def compare(self, req: ComparisonRequest) -> Preference:
@@ -120,8 +126,7 @@ class BatchExecutor:
     One executor serves exactly one algorithm run. With ``use_cache`` it
     keeps a run-scoped memo of every answered pair, stored in both
     orientations, so (a, b) and (b, a) share one inference and a repeat is
-    answered for free. ``group_misses`` records the miss count of every
-    submitted group so the ceiling-sum call law can be audited after a run.
+    answered for free; a group's misses are its size less its cache hits.
     """
 
     def __init__(self, batch_size: int = 1, use_cache: bool = False):
@@ -130,7 +135,6 @@ class BatchExecutor:
         self.batch_size = batch_size
         self.use_cache = use_cache
         self.ledger = CostLedger()
-        self.group_misses: list[int] = []
         self._memo: dict[ComparisonRequest, Preference] | None = {} if use_cache else None
 
     def submit_group(
@@ -143,36 +147,54 @@ class BatchExecutor:
         before any is resolved; the misses go to the oracle in chunks of at
         most batch_size, each chunk costing one inference call. The memo is
         written only after a chunk returns, so a backend failure aborts the
-        group with only the completed calls counted and the memo unchanged.
+        group with only the completed chunks counted and memoized.
         """
         ledger = self.ledger
         ledger.comparisons += len(group)
         memo = self._memo
-        answers: list[Preference | None]
-        if memo is None:
-            answers = [None] * len(group)
-            miss_at = list(range(len(group)))
-            misses = list(group)
-        else:
-            answers = [memo.get(req) for req in group]
-            miss_at = [idx for idx, hit in enumerate(answers) if hit is None]
-            misses = [group[idx] for idx in miss_at]
-            ledger.cache_hits += len(group) - len(misses)
-        if misses:
+        if len(group) == 1:  # most groups (heapsort, bubblesort): no per-group lists
+            req = group[0]
+            if memo is not None:
+                answer = memo.get(req)
+                if answer is not None:
+                    ledger.cache_hits += 1
+                    return [answer]
             ledger.batch_groups += 1
-            self.group_misses.append(len(misses))
-            size = self.batch_size
-            for start in range(0, len(misses), size):
-                chunk = misses[start : start + size]
-                prefs = oracle.compare_batch(chunk)
-                ledger.inference_calls += 1
-                for idx, pref in zip(miss_at[start : start + size], prefs):
-                    answers[idx] = pref
-                if memo is not None:
-                    for req, pref in zip(chunk, prefs):
-                        memo[req] = pref
-                        memo[ComparisonRequest(req.second, req.first)] = pref.flipped()
+            answer = oracle.compare(req)
+            ledger.inference_calls += 1
+            if memo is not None:
+                memo[req] = answer
+                memo[ComparisonRequest(req.second, req.first)] = answer.flipped()
+            return [answer]
+        if memo is None:
+            return self._resolve(oracle, group) if group else []
+        answers = [memo.get(req) for req in group]
+        miss_at = [idx for idx, hit in enumerate(answers) if hit is None]
+        ledger.cache_hits += len(group) - len(miss_at)
+        if miss_at:
+            prefs = self._resolve(oracle, [group[idx] for idx in miss_at])
+            for idx, pref in zip(miss_at, prefs):
+                answers[idx] = pref
         return answers  # type: ignore[return-value]
+
+    def _resolve(self, oracle: Oracle, misses: Sequence[ComparisonRequest]) -> list[Preference]:
+        """Answer one or more misses as one batch group, in chunks of at most
+        batch_size: a one-request chunk through ``compare``, a wider one
+        through ``compare_batch``. Each chunk is counted as a call, and
+        memoized in both orientations, only after it returns."""
+        ledger, memo, size = self.ledger, self._memo, self.batch_size
+        ledger.batch_groups += 1
+        answers: list[Preference] = []
+        for start in range(0, len(misses), size):
+            chunk = misses if len(misses) <= size else misses[start : start + size]
+            prefs = oracle.compare_batch(chunk) if len(chunk) > 1 else [oracle.compare(chunk[0])]
+            ledger.inference_calls += 1
+            if memo is not None:
+                for req, pref in zip(chunk, prefs):
+                    memo[req] = pref
+                    memo[ComparisonRequest(req.second, req.first)] = pref.flipped()
+            answers += prefs
+        return answers
 
 
 DEFAULT_PROMPT_TEMPLATE = (

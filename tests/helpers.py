@@ -9,17 +9,24 @@ from prp_sort import BatchExecutor, ComparisonRequest, Oracle, Preference, Score
 
 
 class RecordingExecutor(BatchExecutor):
-    """BatchExecutor that logs every submitted request and answer, hits included."""
+    """BatchExecutor that logs every submitted request and answer, hits
+    included, and the miss count of every group that had misses, so the
+    ceiling-sum call law can be audited after a run."""
 
     def __init__(self, batch_size: int = 1, use_cache: bool = False):
         super().__init__(batch_size, use_cache)
         self.trace: list[ComparisonRequest] = []
         self.answers: list[Preference] = []
+        self.group_misses: list[int] = []
 
     def submit_group(self, oracle, group):
         self.trace.extend(group)
+        hits_before = self.ledger.cache_hits
         result = super().submit_group(oracle, group)
         self.answers.extend(result)
+        misses = len(group) - (self.ledger.cache_hits - hits_before)
+        if misses > 0:
+            self.group_misses.append(misses)
         return result
 
 

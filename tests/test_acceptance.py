@@ -131,7 +131,7 @@ def test_criterion_3_quicksort_batch_invariance():
         pivot = ALL_PIVOTS[i % len(ALL_PIVOTS)]
         outcomes = {}
         for batch_size in (1, 2, 8, 128):
-            executor = BatchExecutor(batch_size)
+            executor = RecordingExecutor(batch_size)
             ranking, ledger = quicksort_topk(
                 ids, k, ScoreOracle(scores), executor, pivot=pivot, seed=i
             )

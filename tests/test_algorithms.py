@@ -226,7 +226,7 @@ class TestQuicksort:
         ids, scores = random_instance(60, seed=9)
         results = {}
         for batch_size in (1, 2, 8, 128):
-            executor = BatchExecutor(batch_size)
+            executor = RecordingExecutor(batch_size)
             ranking, ledger = quicksort_topk(
                 ids, 10, ScoreOracle(scores), executor, pivot=strategy, seed=5
             )

@@ -145,6 +145,15 @@ class TestLlmOracle:
         assert executor.ledger.cache_hits == 4
         assert executor.ledger.inference_calls == 1
 
+    @pytest.mark.parametrize("use_cache", [False, True])
+    def test_singleton_group_is_one_post_of_one_prompt(self, server, use_cache):
+        executor = BatchExecutor(use_cache=use_cache)
+        with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:
+            answers = executor.submit_group(oracle, (ComparisonRequest("dA", "dB"),))
+        assert answers == [Preference.FIRST]
+        assert [len(r["payload"]["prompts"]) for r in server.requests] == [1]
+        assert executor.ledger.inference_calls == 1
+
     def test_prompt_carries_query_and_both_passages(self, server):
         with closing(LlmOracle(endpoint_for(server), "my query", CANDIDATES)) as oracle:
             oracle.compare(ComparisonRequest("dA", "dB"))

@@ -2,15 +2,18 @@ import math
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prp_sort import (
+    BackendFailure,
     BatchExecutor,
     Candidate,
     ComparisonRequest,
+    CostLedger,
     InvalidConfig,
     NoisyOracle,
+    Oracle,
     Preference,
     ScoreOracle,
     build_prp_prompt,
@@ -205,7 +208,7 @@ class TestBatchExecutor:
             [ComparisonRequest(*rng.sample(ids, 2)) for _ in range(size)]
             for size in sizes
         ]
-        executor = BatchExecutor(batch_size=batch_size)
+        executor = RecordingExecutor(batch_size=batch_size)
         grouped = [executor.submit_group(oracle, group) for group in groups]
         singly = [[oracle.compare(req) for req in group] for group in groups]
         assert grouped == singly
@@ -214,6 +217,129 @@ class TestBatchExecutor:
         assert executor.ledger.inference_calls == expected_calls
         assert executor.ledger.comparisons == sum(sizes)
         assert executor.ledger.batch_groups == sum(1 for s in sizes if s > 0)
+
+
+DOCS = ["d0", "d1", "d2", "d3", "d4"]
+ORDERED_PAIRS = [ComparisonRequest(a, b) for a in DOCS for b in DOCS if a != b]
+P01, P10, P23, P32 = (ComparisonRequest(f"d{a}", f"d{b}") for a, b in ("01", "10", "23", "32"))
+
+
+class ChunkLog(Oracle):
+    """Score judge over DOCS that logs every call as (method, requests) and
+    raises BackendFailure on call number ``fail_on``."""
+
+    def __init__(self, fail_on: int | None = None):
+        self.base = ScoreOracle({doc: -rank for rank, doc in enumerate(DOCS)})
+        self.fail_on = fail_on
+        self.calls: list[tuple[str, tuple[ComparisonRequest, ...]]] = []
+
+    def _call(self, method, reqs):
+        self.calls.append((method, tuple(reqs)))
+        if len(self.calls) == self.fail_on:
+            raise BackendFailure(f"call {self.fail_on} failed")
+        return [self.base.compare(req) for req in reqs]
+
+    def compare(self, req):
+        return self._call("compare", [req])[0]
+
+    def compare_batch(self, reqs):
+        return self._call("compare_batch", reqs)
+
+
+class ReferenceExecutor:
+    """The executor's contract written out plainly: look the whole group up,
+    then send the misses in chunks of at most batch_size, a one-request chunk
+    through ``compare`` and a wider one through ``compare_batch``; count each
+    chunk and memoize it in both orientations after it returns."""
+
+    def __init__(self, batch_size: int, use_cache: bool):
+        self.batch_size = batch_size
+        self.ledger = CostLedger()
+        self.memo: dict | None = {} if use_cache else None
+
+    def submit_group(self, oracle, group):
+        ledger, memo = self.ledger, self.memo
+        ledger.comparisons += len(group)
+        answers = [None if memo is None else memo.get(req) for req in group]
+        miss_at = [idx for idx, answer in enumerate(answers) if answer is None]
+        ledger.cache_hits += len(group) - len(miss_at)
+        if miss_at:
+            ledger.batch_groups += 1
+        for start in range(0, len(miss_at), self.batch_size):
+            at = miss_at[start : start + self.batch_size]
+            chunk = [group[idx] for idx in at]
+            if len(chunk) == 1:
+                prefs = [oracle.compare(chunk[0])]
+            else:
+                prefs = oracle.compare_batch(chunk)
+            ledger.inference_calls += 1
+            for idx, req, pref in zip(at, chunk, prefs):
+                answers[idx] = pref
+                if memo is not None:
+                    memo[req] = pref
+                    memo[ComparisonRequest(req.second, req.first)] = pref.flipped()
+        return answers
+
+
+class TestExecutorEquivalence:
+    """BatchExecutor's direct paths against the plainly written reference."""
+
+    @given(
+        batch_size=st.integers(1, 9),
+        use_cache=st.booleans(),
+        groups=st.lists(st.lists(st.sampled_from(ORDERED_PAIRS), max_size=12), max_size=8),
+    )
+    # Singletons, a repeated pair, a reversed pair, duplicates within a
+    # group, an empty group and a group of one miss among hits.
+    @example(
+        batch_size=2,
+        use_cache=True,
+        groups=[[P01], [P01], [P10], [P01, P10, P01, P23], [], [P23], [P10, P23, P01, P32]],
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reference_resolver(self, batch_size, use_cache, groups):
+        oracle, reference_oracle = ChunkLog(), ChunkLog()
+        executor = BatchExecutor(batch_size, use_cache)
+        reference = ReferenceExecutor(batch_size, use_cache)
+        for group in groups:
+            answers = executor.submit_group(oracle, group)
+            assert answers == reference.submit_group(reference_oracle, group)
+        assert executor.ledger == reference.ledger
+        assert oracle.calls == reference_oracle.calls
+        assert executor._memo == reference.memo
+
+    @pytest.mark.parametrize("use_cache", [False, True])
+    @pytest.mark.parametrize(
+        "batch_size, group, fail_on",
+        [
+            (1, [P23], 2),  # a singleton
+            (4, [P23], 2),
+            # Seven pairs at B=2 are chunks of 2, 2, 2 and 1; fail each.
+            *((2, ORDERED_PAIRS[10:17], fail_on) for fail_on in (2, 3, 4, 5)),
+        ],
+    )
+    def test_backend_failure_counts_and_memoizes_only_completed_chunks(
+        self, use_cache, batch_size, group, fail_on
+    ):
+        oracle, reference_oracle = ChunkLog(fail_on), ChunkLog(fail_on)
+        executor = BatchExecutor(batch_size, use_cache)
+        reference = ReferenceExecutor(batch_size, use_cache)
+        # Call 1 succeeds; the group under test shares no pair with it.
+        assert executor.submit_group(oracle, [P01]) == [Preference.FIRST]
+        reference.submit_group(reference_oracle, [P01])
+        with pytest.raises(BackendFailure):
+            executor.submit_group(oracle, group)
+        with pytest.raises(BackendFailure):
+            reference.submit_group(reference_oracle, group)
+        assert len(oracle.calls) == fail_on
+        assert executor.ledger.inference_calls == fail_on - 1
+        assert executor.ledger == reference.ledger
+        completed: dict[ComparisonRequest, Preference] = {}
+        for _, chunk in oracle.calls[:-1]:
+            for req in chunk:
+                completed[req] = oracle.base.compare(req)
+                completed[ComparisonRequest(req.second, req.first)] = completed[req].flipped()
+        assert executor._memo == (completed if use_cache else None)
 
 
 class TestPromptBuilding:
