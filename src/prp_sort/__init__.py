@@ -30,8 +30,8 @@ from .experiment import (
     load_config,
     run_experiment,
 )
-from .metrics import ndcg_at_k, percent_gain
-from .model import Candidate, CostLedger, Preference, canonical_pair
+from .metrics import ndcg_at_k
+from .model import Candidate, CostLedger, Preference
 from .oracles import (
     BatchExecutor,
     ComparisonRequest,
@@ -45,8 +45,8 @@ from .oracles import (
 )
 
 # The names callers outside the package use: the scripts, the benchmark, the
-# README example, the three sorters and the errors a caller may catch. Every
-# other name is imported from its submodule.
+# README example, the three sorters, the ledger they return and the errors a
+# caller may catch. Every other name is imported from its submodule.
 __all__ = [
     "AlgoConfig",
     "Algorithm",
@@ -70,7 +70,6 @@ __all__ = [
     "batch_partition",
     "bubblesort_topk",
     "build_prp_prompt",
-    "canonical_pair",
     "config_from_dict",
     "emit_report",
     "generate_synthetic",
@@ -82,7 +81,6 @@ __all__ = [
     "load_run_file",
     "ndcg_at_k",
     "parse_preference_label",
-    "percent_gain",
     "quicksort_topk",
     "run_algorithm",
     "run_experiment",

@@ -1,4 +1,4 @@
-"""Shared vocabulary: items, pairwise outcomes, pair keys, and cost ledgers.
+"""Shared vocabulary: items, pairwise outcomes and cost ledgers.
 
 Everything here is a plain value type; nothing holds shared mutable state
 beyond the ledger an executor fills during a single run.
@@ -8,9 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import NamedTuple
-
-from .errors import IdenticalPair
 
 DocId = str
 
@@ -27,7 +24,11 @@ class Preference(Enum):
     SECOND = "second"
 
     def flipped(self) -> Preference:
-        return Preference.SECOND if self is Preference.FIRST else Preference.FIRST
+        return _FLIPPED[self._value_]
+
+
+# Keyed by value: a str hashes in C, an Enum member through Python code.
+_FLIPPED = {"first": Preference.SECOND, "second": Preference.FIRST}
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,27 +37,6 @@ class Candidate:
 
     doc: DocId
     text: str | None = None
-
-
-class PairKey(NamedTuple):
-    """Canonical identity of an unordered document pair.
-
-    ``flipped`` records whether the originating request named the pair in
-    reverse (hi before lo).
-    """
-
-    lo: DocId
-    hi: DocId
-    flipped: bool
-
-
-def canonical_pair(a: DocId, b: DocId) -> PairKey:
-    """Canonicalize an ordered pair to (lexicographic lo, hi, flipped)."""
-    if a == b:
-        raise IdenticalPair(f"cannot pair document {a!r} with itself")
-    if a < b:
-        return PairKey(a, b, False)
-    return PairKey(b, a, True)
 
 
 @dataclass(slots=True)

@@ -30,7 +30,7 @@ from .errors import (
     ParseFallbackWarning,
     UnknownDoc,
 )
-from .model import Candidate, CostLedger, DocId, Preference, canonical_pair
+from .model import Candidate, CostLedger, DocId, Preference
 from .seeding import stable_seed
 
 
@@ -96,7 +96,7 @@ class ScoreOracle(Oracle):
 class NoisyOracle(Oracle):
     """Wraps a base oracle and flips its answer with a fixed probability.
 
-    The flip decision is keyed on (seed, canonical pair), not on the query
+    The flip decision is keyed on (seed, unordered pair), not on the query
     event, so the same unordered pair always answers the same way within a
     run even without a cache. flip_probability 0 reproduces the base oracle
     exactly; 1 inverts it everywhere.
@@ -113,8 +113,9 @@ class NoisyOracle(Oracle):
         answer = self.base.compare(req)
         if self.flip_probability == 0.0:
             return answer
-        key = canonical_pair(req.first, req.second)
-        draw = Random(stable_seed("flip", self.seed, key.lo, key.hi)).random()
+        a, b = req
+        lo, hi = (a, b) if a < b else (b, a)
+        draw = Random(stable_seed("flip", self.seed, lo, hi)).random()
         if draw < self.flip_probability:
             return answer.flipped()
         return answer
@@ -135,7 +136,9 @@ class BatchExecutor:
         self.batch_size = batch_size
         self.use_cache = use_cache
         self.ledger = CostLedger()
-        self._memo: dict[ComparisonRequest, Preference] | None = {} if use_cache else None
+        # A reversed key is a plain (second, first) tuple: it hashes and
+        # compares equal to the ComparisonRequest and is cheaper to build.
+        self._memo: dict[tuple[DocId, DocId], Preference] | None = {} if use_cache else None
 
     def submit_group(
         self, oracle: Oracle, group: Sequence[ComparisonRequest]
@@ -164,7 +167,7 @@ class BatchExecutor:
             ledger.inference_calls += 1
             if memo is not None:
                 memo[req] = answer
-                memo[ComparisonRequest(req.second, req.first)] = answer.flipped()
+                memo[(req[1], req[0])] = answer.flipped()
             return [answer]
         if memo is None:
             return self._resolve(oracle, group) if group else []
@@ -192,7 +195,7 @@ class BatchExecutor:
             if memo is not None:
                 for req, pref in zip(chunk, prefs):
                     memo[req] = pref
-                    memo[ComparisonRequest(req.second, req.first)] = pref.flipped()
+                    memo[(req[1], req[0])] = pref.flipped()
             answers += prefs
         return answers
 

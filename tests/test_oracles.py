@@ -18,11 +18,15 @@ from prp_sort import (
     ScoreOracle,
     build_prp_prompt,
     bubblesort_topk,
-    canonical_pair,
     parse_preference_label,
 )
 from prp_sort.errors import IdenticalPair, MissingText, UnknownDoc
+from prp_sort.seeding import stable_seed
 from helpers import CountingOracle, RecordingExecutor, random_instance
+
+# Prefix-sharing ids ("d1" against "d10") exercise the string ordering.
+doc_ids = st.text(alphabet="abcd123", min_size=1, max_size=5)
+distinct_pairs = st.tuples(doc_ids, doc_ids).filter(lambda p: p[0] != p[1])
 
 
 class TestScoreOracle:
@@ -75,6 +79,28 @@ class TestNoisyOracle:
                 # Orientation flips with the request, never the outcome.
                 assert oracle.compare(ComparisonRequest(b, a)) is first.flipped()
 
+    @given(distinct_pairs, st.integers(0, 2**32), st.sampled_from([0.15, 0.5, 0.9]))
+    def test_flip_is_drawn_from_the_lexicographic_pair(self, pair, seed, p):
+        a, b = pair
+        base = ScoreOracle({a: 0.9, b: 0.1})
+        req = ComparisonRequest(a, b)
+        draw = Random(stable_seed("flip", seed, min(a, b), max(a, b))).random()
+        expected = base.compare(req).flipped() if draw < p else base.compare(req)
+        assert NoisyOracle(base, p, seed).compare(req) is expected
+
+    @given(distinct_pairs, st.integers(0, 2**32))
+    def test_symmetric_up_to_flip(self, pair, seed):
+        a, b = pair
+        oracle = NoisyOracle(ScoreOracle({a: 0.3, b: 0.7}), 0.5, seed)
+        forward = oracle.compare(ComparisonRequest(a, b))
+        assert oracle.compare(ComparisonRequest(b, a)) is forward.flipped()
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_identical_pair_is_rejected(self, p):
+        oracle = NoisyOracle(ScoreOracle({"d1": 0.5}), p, seed=0)
+        with pytest.raises(IdenticalPair):
+            oracle.compare(ComparisonRequest("d1", "d1"))
+
     def test_flip_probability_validated(self):
         with pytest.raises(InvalidConfig):
             NoisyOracle(ScoreOracle({}), 1.5, seed=0)
@@ -121,9 +147,8 @@ class TestExecutorCache:
         for _ in range(300):
             a, b = rng.sample(ids, 2)
             [answer] = executor.submit_group(noisy, [ComparisonRequest(a, b)])
-            key = canonical_pair(a, b)
-            oriented = answer.flipped() if key.flipped else answer
-            assert seen.setdefault((key.lo, key.hi), oriented) is oriented
+            oriented = answer.flipped() if a > b else answer
+            assert seen.setdefault((a, b) if a < b else (b, a), oriented) is oriented
         assert executor.ledger.inference_calls == len(seen)
 
     def test_bubblesort_hits_match_replay_log(self):
@@ -135,11 +160,12 @@ class TestExecutorCache:
         seen: set[tuple[str, str]] = set()
         replay_hits = 0
         for req in executor.trace:
-            key = canonical_pair(req.first, req.second)
-            if (key.lo, key.hi) in seen:
+            a, b = req
+            key = (a, b) if a < b else (b, a)
+            if key in seen:
                 replay_hits += 1
             else:
-                seen.add((key.lo, key.hi))
+                seen.add(key)
         assert ledger.cache_hits == replay_hits
         assert ledger.cache_hits == ledger.comparisons - ledger.inference_calls
 
