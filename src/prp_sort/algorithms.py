@@ -240,22 +240,15 @@ def select_pivot(
         return lo
     middle = (lo + hi) // 2
     a, b, c = order[lo], order[middle], order[hi]
-    prefs = executor.submit_group(
+    ab, ac, bc = executor.submit_group(
         oracle,
         (ComparisonRequest(a, b), ComparisonRequest(a, c), ComparisonRequest(b, c)),
     )
-    wins = {a: 0, b: 0, c: 0}
-    wins[a if prefs[0] is Preference.FIRST else b] += 1
-    wins[a if prefs[1] is Preference.FIRST else c] += 1
-    wins[b if prefs[2] is Preference.FIRST else c] += 1
-    median = [doc for doc in (a, b, c) if wins[doc] == 1]
-    if len(median) != 1:
-        return middle  # intransitive triple: every candidate won once
-    if median[0] == a:
-        return lo
-    if median[0] == b:
-        return middle
-    return hi
+    if ab is bc:
+        return middle  # b sits between a and c, or the triple is a cycle
+    # b beat both or lost to both, so a is the median exactly when its
+    # match with c went the other way from its match with b.
+    return lo if ab is not ac else hi
 
 
 def batch_partition(

@@ -97,7 +97,7 @@ def _print_summary(report: ExperimentReport) -> None:
             continue
         comp = f"{agg.mean_comparisons:8.1f}±{agg.sd_comparisons:6.1f}"
         inf = f"{agg.mean_inference_calls:8.1f}±{agg.sd_inference_calls:6.1f}"
-        ndcg = f"{agg.mean_ndcg:.4f}" if agg.mean_ndcg is not None else "   -"
+        ndcg = f"{agg.mean_ndcg:.4f}"
         gain = f"{agg.gain_pct:6.1f}" if agg.gain_pct is not None else "     -"
         print(f"{agg.algorithm:38s} {agg.n_queries:4d} {comp:>16s} {inf:>16s} {ndcg:>7s} {gain:>7s}")
 

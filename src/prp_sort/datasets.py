@@ -28,10 +28,10 @@ class Query:
 
 @dataclass
 class Dataset:
-    """Queries plus optional judgments and (synthetic mode) ground truth."""
+    """Queries plus judgments and (synthetic mode) ground truth."""
 
     queries: list[Query]
-    grades: RelevanceMap | None = None
+    grades: RelevanceMap
     ground_truth_scores: dict[str, dict[DocId, float]] | None = None
 
 

@@ -25,10 +25,6 @@ class InvalidConfig(RankingError):
     """An algorithm or experiment configuration violates its contract."""
 
 
-class EmptySample(RankingError):
-    """Aggregation was requested over an empty value list."""
-
-
 class ZeroBaseline(RankingError):
     """Percentage gain was requested against a non-positive baseline."""
 

@@ -17,6 +17,7 @@ import json
 import sys
 import threading
 from dataclasses import dataclass, field, replace
+from statistics import fmean, pstdev
 from typing import Any, Callable, Sequence
 
 from .algorithms import Algorithm, AlgoConfig, PivotStrategy, run_algorithm
@@ -28,7 +29,7 @@ from .datasets import (
     load_run_file,
 )
 from .errors import BackendFailure, InvalidConfig
-from .metrics import aggregate, ndcg_at_k, percent_gain
+from .metrics import ndcg_at_k, percent_gain
 from .model import CostLedger
 from .oracles import LlmEndpoint, LlmOracle, NoisyOracle, Oracle, ScoreOracle
 from .seeding import stable_seed
@@ -182,13 +183,31 @@ def _read(section: Any, key: str, kind: type, where: str, default: Any = _REQUIR
     return value
 
 
+# The keys each config section may carry, by the section's name in errors.
+_KEYS = {
+    "config": {"dataset", "algorithms", "oracle", "k", "seed", "output"},
+    "dataset": {"synthetic", "run", "qrels", "queries", "passages", "depth"},
+    "dataset.synthetic": {"queries", "n"},
+    "oracle": {"kind", "flip_probability", "seed", "endpoint"},
+    "oracle.endpoint": {"url", "model", "api_key_env", "timeout_s", "prompt_template", "retries"},
+    "output": {"path", "format"},
+    "algorithm entry": {"algorithm", "k", "batch_size", "use_cache", "pivot", "partial"},
+}
+
+
+def _known(section: dict[str, Any], where: str) -> dict[str, Any]:
+    """``section``, checked to carry no key outside ``_KEYS[where]``."""
+    unknown = set(section) - _KEYS[where]
+    if unknown:
+        raise InvalidConfig(f"unknown {where} keys: {sorted(unknown)}")
+    return section
+
+
 def algo_config_from_dict(entry: dict[str, Any], default_k: int) -> AlgoConfig:
     """Build one AlgoConfig from a config-file mapping."""
     where = "algorithm entry"
     name = _read(entry, "algorithm", str, where)
-    unknown = set(entry) - {"algorithm", "k", "batch_size", "use_cache", "pivot", "partial"}
-    if unknown:
-        raise InvalidConfig(f"unknown algorithm config keys: {sorted(unknown)}")
+    _known(entry, where)
     if name not in _ALGORITHMS:
         raise InvalidConfig(f"algorithm must be one of {sorted(_ALGORITHMS)}, got {name!r}")
     pivot_name = _read(entry, "pivot", str, where, PivotStrategy.MEDIAN_OF_THREE.value)
@@ -206,15 +225,18 @@ def algo_config_from_dict(entry: dict[str, Any], default_k: int) -> AlgoConfig:
 
 def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON config document."""
-    dataset_raw = _read(raw, "dataset", dict, "config")
+    dataset_raw = _known(_read(raw, "dataset", dict, "config"), "dataset")
+    _known(raw, "config")
     algorithms_raw = _read(raw, "algorithms", list, "config")
+    if ("synthetic" in dataset_raw) == ("run" in dataset_raw):
+        raise InvalidConfig("dataset must carry either a 'synthetic' spec or 'run'+'qrels' paths")
     if "synthetic" in dataset_raw:
-        synth = _read(dataset_raw, "synthetic", dict, "dataset")
+        synth = _known(_read(dataset_raw, "synthetic", dict, "dataset"), "dataset.synthetic")
         dataset: SyntheticSpec | FileSource = SyntheticSpec(
             num_queries=_read(synth, "queries", int, "dataset.synthetic"),
             n=_read(synth, "n", int, "dataset.synthetic"),
         )
-    elif "run" in dataset_raw:
+    else:
         dataset = FileSource(
             run_path=_read(dataset_raw, "run", str, "dataset"),
             qrels_path=_read(dataset_raw, "qrels", str, "dataset"),
@@ -222,14 +244,12 @@ def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
             passages_path=_read(dataset_raw, "passages", str, "dataset", None),
             depth=_read(dataset_raw, "depth", int, "dataset", 100),
         )
-    else:
-        raise InvalidConfig("dataset must carry either a 'synthetic' spec or 'run'+'qrels' paths")
     k = _read(raw, "k", int, "config", 10)
-    oracle_raw = _read(raw, "oracle", dict, "config", {})
+    oracle_raw = _known(_read(raw, "oracle", dict, "config", {}), "oracle")
     kind = _read(oracle_raw, "kind", str, "oracle", "score")
     endpoint = None
     if kind == "llm":
-        ep = _read(oracle_raw, "endpoint", dict, "oracle")
+        ep = _known(_read(oracle_raw, "endpoint", dict, "oracle"), "oracle.endpoint")
         endpoint = LlmEndpoint(
             url=_read(ep, "url", str, "oracle.endpoint"),
             model=_read(ep, "model", str, "oracle.endpoint", "default"),
@@ -244,7 +264,7 @@ def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
         seed=_read(oracle_raw, "seed", int, "oracle", 0),
         endpoint=endpoint,
     )
-    output_raw = _read(raw, "output", dict, "config", {})
+    output_raw = _known(_read(raw, "output", dict, "config", {}), "output")
     return ExperimentConfig(
         dataset=dataset,
         algorithms=[algo_config_from_dict(a, k) for a in algorithms_raw],
@@ -315,10 +335,7 @@ def _build_oracle(config: ExperimentConfig, dataset: Dataset, query) -> Oracle:
     else:
         # File mode ground truth: qrels grades, with unjudged candidates at
         # 0.0 and exact ties broken lexicographically by the oracle itself.
-        scores = {
-            c.doc: float(dataset.grades.grade(query.qid, c.doc)) if dataset.grades else 0.0
-            for c in query.candidates
-        }
+        scores = {c.doc: float(dataset.grades.grade(query.qid, c.doc)) for c in query.candidates}
     base = ScoreOracle(scores)
     if kind == "score":
         return base
@@ -347,11 +364,7 @@ def _run_cell(
         status, counts, ndcg = "failed", dict.fromkeys(CostLedger().as_dict()), None
     else:
         status, counts = "ok", ledger.as_dict()
-        ndcg = (
-            ndcg_at_k(ranking, dataset.grades, query.qid, config.k)
-            if dataset.grades is not None
-            else None
-        )
+        ndcg = ndcg_at_k(ranking, dataset.grades, query.qid, config.k)
     finally:
         oracle.close()
     return QueryRow(
@@ -461,16 +474,17 @@ def compute_aggregates(rows: list[QueryRow]) -> list[AggregateRow]:
         ok = [r for r in group if r.status == "ok"]
         stats: dict[str, float | None] = {}
         if ok:
-            comp = aggregate([r.comparisons for r in ok])
-            calls = aggregate([r.inference_calls for r in ok])
-            ndcg_values = [r.ndcg for r in ok if r.ndcg is not None]
+            comparisons = [r.comparisons for r in ok]
+            calls = [r.inference_calls for r in ok]
+            # Population SD, not sample SD: a row group is a complete query
+            # set, and the golden file pins the choice.
             stats = dict(
-                mean_comparisons=comp.mean,
-                sd_comparisons=comp.sd,
-                mean_inference_calls=calls.mean,
-                sd_inference_calls=calls.sd,
-                mean_cache_hits=aggregate([r.cache_hits for r in ok]).mean,
-                mean_ndcg=aggregate(ndcg_values).mean if ndcg_values else None,
+                mean_comparisons=fmean(comparisons),
+                sd_comparisons=pstdev(comparisons),
+                mean_inference_calls=fmean(calls),
+                sd_inference_calls=pstdev(calls),
+                mean_cache_hits=fmean(r.cache_hits for r in ok),
+                mean_ndcg=fmean(r.ndcg for r in ok),
             )
         aggregates.append(
             AggregateRow(
@@ -524,17 +538,6 @@ REPORT_COLUMNS = [
     "gain_pct",
 ]
 
-_FLOAT_FIELDS = {
-    "ndcg",
-    "mean_comparisons",
-    "sd_comparisons",
-    "mean_inference_calls",
-    "sd_inference_calls",
-    "mean_cache_hits",
-    "mean_ndcg",
-    "gain_pct",
-}
-
 
 def _row_record(row: QueryRow | AggregateRow) -> dict[str, Any]:
     kind = "query" if isinstance(row, QueryRow) else "aggregate"
@@ -544,12 +547,12 @@ def _row_record(row: QueryRow | AggregateRow) -> dict[str, Any]:
     }
 
 
-def _format_cell(name: str, value: Any) -> str:
+def _format_cell(value: Any) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if name in _FLOAT_FIELDS:
+    if isinstance(value, float):
         return f"{value:.4f}"
     return str(value)
 
@@ -571,7 +574,7 @@ def emit_report(report: ExperimentReport, out_format: str, path: str | None) -> 
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
         for record in records:
-            writer.writerow([_format_cell(n, record[n]) for n in REPORT_COLUMNS])
+            writer.writerow([_format_cell(record[n]) for n in REPORT_COLUMNS])
     else:
         for record in records:
             buffer.write(json.dumps(record, ensure_ascii=False))

@@ -1,13 +1,12 @@
-"""Ranking quality (NDCG@k) and cost aggregation."""
+"""Ranking quality (NDCG@k) and percentage gain."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from statistics import fmean, pstdev
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import EmptySample, InvalidConfig, ZeroBaseline
+from .errors import InvalidConfig, ZeroBaseline
 from .model import DocId
 
 
@@ -26,15 +25,6 @@ class RelevanceMap:
     def grades_for(self, qid: str) -> list[int]:
         """All judged grades for a query (the ideal-DCG pool)."""
         return list(self.by_query.get(qid, {}).values())
-
-
-@dataclass(frozen=True)
-class CostStats:
-    """Mean and population standard deviation of a sample."""
-
-    mean: float
-    sd: float
-    n: int
 
 
 def ndcg_at_k(ranking: Sequence[DocId], grades: RelevanceMap, qid: str, k: int) -> float:
@@ -61,18 +51,6 @@ def ndcg_at_k(ranking: Sequence[DocId], grades: RelevanceMap, qid: str, k: int) 
     if idcg == 0.0:
         return 0.0
     return dcg / idcg
-
-
-def aggregate(values: Iterable[float]) -> CostStats:
-    """Arithmetic mean and population SD.
-
-    Population rather than sample SD: reported figures summarize complete
-    query sets, and the choice is pinned so golden files stay stable.
-    """
-    data = list(values)
-    if not data:
-        raise EmptySample("cannot aggregate an empty sample")
-    return CostStats(mean=fmean(data), sd=pstdev(data), n=len(data))
 
 
 def percent_gain(baseline: float, optimized: float) -> float:

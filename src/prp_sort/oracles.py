@@ -267,6 +267,12 @@ class LlmEndpoint:
     prompt_template: str | None = None
     retries: int = 1
 
+    def __post_init__(self) -> None:
+        if self.timeout_s <= 0:
+            raise InvalidConfig(f"timeout_s must be > 0, got {self.timeout_s}")
+        if self.retries < 0:
+            raise InvalidConfig(f"retries must be >= 0, got {self.retries}")
+
 
 class _Connection:
     """One kept-alive HTTP/1.1 connection to an endpoint, reused across calls.
@@ -315,7 +321,7 @@ class _Connection:
         counting as a retry: the server may have closed the idle connection
         just as the request went out.
         """
-        retries = max(0, self.endpoint.retries)
+        retries = self.endpoint.retries
         resend = True
         while True:
             conn, self._http = self._http, None

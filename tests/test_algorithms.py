@@ -327,6 +327,8 @@ class TestAlgoConfig:
     def test_batching_rejected_outside_quicksort(self):
         with pytest.raises(InvalidConfig):
             AlgoConfig(Algorithm.HEAPSORT, batch_size=2)
+        with pytest.raises(InvalidConfig, match="batch_size must be >= 1"):
+            AlgoConfig(Algorithm.QUICKSORT, batch_size=0)
         with pytest.raises(InvalidConfig):
             AlgoConfig(Algorithm.BUBBLESORT, batch_size=2)
 

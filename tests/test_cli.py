@@ -23,6 +23,16 @@ def write_config(tmp_path, **overrides):
     return str(path)
 
 
+# A file-mode llm sweep whose endpoint is not an http(s) URL, so every cell
+# fails without a connection being made.
+LLM_CONFIG = (
+    '{"dataset": {"run": "run.txt", "qrels": "qrels.txt", "queries": "queries.tsv",'
+    ' "passages": "passages.tsv"}, "oracle": {"kind": "llm", "endpoint":'
+    ' {"url": "ftp://127.0.0.1:9/complete", "retries": 0}},'
+    ' "k": 2, "algorithms": [{"algorithm": "heapsort"}]}'
+)
+
+
 class TestVersion:
     def test_prints_package_version(self, capsys):
         assert main(["version"]) == 0
@@ -97,6 +107,22 @@ class TestRun:
         )
         assert "quicksort (random, b=128, full)" in out.read_text(encoding="utf-8")
 
+    def test_summary_of_an_all_failed_algorithm(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        inputs = {
+            "run.txt": "q1 Q0 dA 1 2.0 t\nq1 Q0 dB 2 1.0 t\nq2 Q0 dA 1 2.0 t\nq2 Q0 dB 2 1.0 t\n",
+            "qrels.txt": "q1 0 dA 1\n",
+            "queries.tsv": "q1\tfirst\nq2\tsecond\n",
+            "passages.tsv": "dA\ttext a\ndB\ttext b\n",
+            "config.json": LLM_CONFIG,
+        }
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        assert main(["run", "--config", "config.json", "--out", "r.csv"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.split() == ["heapsort", "0", "(all", "2", "queries", "failed)"]
+        assert (tmp_path / "r.csv").read_text(encoding="utf-8").count(",failed,") == 2
+
     def test_invalid_config_exits_nonzero(self, tmp_path, capsys):
         config = write_config(tmp_path, algorithms=[{"algorithm": "mergesort"}])
         assert main(["run", "--config", config]) == 2
@@ -110,14 +136,34 @@ class TestRun:
             '{"dataset": {"synthetic": {"queries": 2}}, "algorithms": [{"algorithm": "heapsort"}]}',
             '{"dataset": {"synthetic": {"queries": 2, "n": 8}},'
             ' "algorithms": [{"algorithm": "heapsort", "k": "ten"}]}',
+            LLM_CONFIG.replace('"retries": 0', '"timeout_s": -1'),
+            LLM_CONFIG.replace('"retries": 0', '"timeout_s": 0'),
+            LLM_CONFIG.replace('"retries": 0', '"retries": -1'),
+            '{"dataset": {"synthetic": {"queries": 2, "n": 8}}, "oracle": {"kind": "noisy",'
+            ' "flip_prob": 0.3}, "algorithms": [{"algorithm": "heapsort"}]}',
+            '{"dataset": {"synthetic": {"queries": 2, "n": 8}}, "sed": 5,'
+            ' "algorithms": [{"algorithm": "heapsort"}]}',
+            '{"dataset": {"synthetic": {"queries": 2, "n": 8}, "run": "run.txt", "qrels": "q.txt"},'
+            ' "algorithms": [{"algorithm": "heapsort"}]}',
         ],
-        ids=["invalid-json", "top-level-list", "synthetic-without-n", "k-not-an-integer"],
+        ids=[
+            "invalid-json",
+            "top-level-list",
+            "synthetic-without-n",
+            "k-not-an-integer",
+            "negative-timeout",
+            "zero-timeout",
+            "negative-retries",
+            "misspelt-oracle-key",
+            "misspelt-top-level-key",
+            "both-dataset-kinds",
+        ],
     )
     def test_malformed_config_file_exits_nonzero(self, tmp_path, capsys, text):
         path = tmp_path / "config.json"
         path.write_text(text, encoding="utf-8")
         assert main(["run", "--config", str(path)]) == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_invalid_override_combination_exits_nonzero(self, tmp_path, capsys):
         config = write_config(tmp_path)

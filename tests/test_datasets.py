@@ -64,6 +64,8 @@ class TestRunFileLoader:
         assert len(queries[0].candidates) == 100  # default depth
         queries = load_run_file(path, depth=7)
         assert len(queries[0].candidates) == 7
+        with pytest.raises(InvalidConfig, match="depth"):
+            load_run_file(path, depth=0)
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = write(tmp_path, "run.txt", "\nq1 Q0 dA 1 2.0 t\n\n")

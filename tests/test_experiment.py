@@ -136,6 +136,21 @@ class TestRunExperiment:
         report = run_experiment(small_config())
         assert compute_aggregates(report.rows) == report.aggregates
 
+    def test_aggregate_statistics_cover_the_ok_rows_only(self):
+        algo = AlgoConfig(Algorithm.HEAPSORT, k=3)
+        counts = ("comparisons", "inference_calls", "cache_hits", "batch_groups")
+
+        def row(qid, status, count, ndcg):
+            cells = dict.fromkeys(counts, count)
+            return QueryRow(qid, status=status, ndcg=ndcg, config=algo, **algo.columns(), **cells)
+
+        rows = [row("q1", "ok", 1, 0.25), row("q2", "failed", None, None), row("q3", "ok", 3, 0.75)]
+        [agg] = compute_aggregates(rows)
+        assert (agg.n_queries, agg.failures) == (2, 1)
+        assert (agg.mean_comparisons, agg.sd_comparisons) == (2.0, 1.0)  # population SD
+        assert (agg.mean_inference_calls, agg.sd_inference_calls) == (2.0, 1.0)
+        assert (agg.mean_cache_hits, agg.mean_ndcg) == (2.0, 0.5)
+
     def test_cached_bubblesort_costs_fewer_calls_same_comparisons(self):
         report = run_experiment(small_config(master_seed=123))
         by_label = {a.algorithm: a for a in report.aggregates}
@@ -222,12 +237,25 @@ class TestRunExperiment:
             dataset=FileSource(run_path=run_path, qrels_path=qrels_path),
             oracle=OracleSpec(kind="llm", endpoint=LlmEndpoint(url="http://x/")),
         )
-        with pytest.raises(InvalidConfig, match="text"):
+        with pytest.raises(InvalidConfig, match="query text"):
+            run_experiment(config)
+        queries_path = write(tmp_path, "queries.tsv", "q1\tfirst query\nq2\tsecond query\n")
+        passages_path = write(tmp_path, "passages.tsv", "dA\ttext a\ndB\ttext b\n")
+        config = replace(
+            config,
+            dataset=replace(config.dataset, queries_path=queries_path, passages_path=passages_path),
+        )
+        with pytest.raises(InvalidConfig, match="passage text; none found for 'dC'"):
             run_experiment(config)
 
     def test_llm_on_synthetic_is_rejected(self):
         with pytest.raises(InvalidConfig, match="synthetic"):
             small_config(oracle=OracleSpec(kind="llm", endpoint=LlmEndpoint(url="http://x/")))
+
+    def test_llm_without_endpoint_is_rejected(self):
+        files = FileSource(run_path="run.txt", qrels_path="qrels.txt")
+        with pytest.raises(InvalidConfig, match="requires an endpoint"):
+            small_config(dataset=files, oracle=OracleSpec(kind="llm"))
 
     def test_noisy_oracle_changes_outcomes_but_stays_deterministic(self):
         noisy = small_config(oracle=OracleSpec(kind="noisy", flip_probability=0.3, seed=4))
@@ -358,6 +386,7 @@ class TestConfigParsing:
             (("oracle", "flip_probability"), "x", "'flip_probability'"),
             (("dataset",), [], "'dataset'"),
             (("oracle",), "score", "'oracle'"),
+            (("dataset",), {"qrels": "qrels.txt"}, "either"),
         ],
     )
     def test_malformed_value_rejected(self, path, value, named):
@@ -380,6 +409,8 @@ class TestConfigParsing:
     def test_replace_cannot_build_an_invalid_config(self):
         with pytest.raises(InvalidConfig, match="format"):
             replace(small_config(), out_format="xml")
+        with pytest.raises(InvalidConfig, match="k must be"):
+            replace(small_config(), k=0)
         with pytest.raises(InvalidConfig, match="matrix"):
             replace(small_config(), algorithms=[])
 

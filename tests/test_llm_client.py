@@ -22,7 +22,7 @@ from prp_sort import (
     run_experiment,
 )
 from prp_sort import experiment
-from prp_sort.errors import MissingText
+from prp_sort.errors import MissingText, UnknownDoc
 from prp_sort.experiment import ExperimentConfig, FileSource, OracleSpec, SyntheticSpec
 from prp_sort.oracles import LlmOracle
 
@@ -87,6 +87,11 @@ class TestLlmCompareBatch:
     def test_unreachable_endpoint_raises_backend_failure(self):
         endpoint = LlmEndpoint(url="http://127.0.0.1:9/complete", retries=0, timeout_s=0.5)
         with pytest.raises(BackendFailure):
+            llm_compare_batch(endpoint, ["p1"])
+
+    def test_non_http_url_raises_backend_failure(self):
+        endpoint = LlmEndpoint(url="ftp://127.0.0.1:9/complete", retries=0)
+        with pytest.raises(BackendFailure, match="not an http"):
             llm_compare_batch(endpoint, ["p1"])
 
     def test_transport_failure_is_retried_once(self, server):
@@ -165,6 +170,12 @@ class TestLlmOracle:
     def test_candidates_without_text_are_rejected_upfront(self, server):
         with pytest.raises(MissingText):
             LlmOracle(endpoint_for(server), "q", [Candidate("dX")])
+
+    def test_unknown_doc_is_rejected_before_any_post(self, server):
+        with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:
+            with pytest.raises(UnknownDoc, match="dZ"):
+                oracle.compare(ComparisonRequest("dA", "dZ"))
+        assert server.requests == []
 
 
 def clear_proxies(monkeypatch):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prp_sort import InvalidConfig, ndcg_at_k
-from prp_sort.errors import EmptySample, ZeroBaseline
-from prp_sort.metrics import CostStats, RelevanceMap, aggregate, percent_gain
+from prp_sort.errors import ZeroBaseline
+from prp_sort.metrics import RelevanceMap, percent_gain
 
 grades_strategy = st.dictionaries(
     st.sampled_from([f"d{i}" for i in range(12)]), st.integers(0, 4), max_size=12
@@ -72,30 +72,6 @@ class TestNdcg:
         assert ndcg_at_k(head + tail, grades_map, "q", k) == ndcg_at_k(
             head + shuffled_tail, grades_map, "q", k
         )
-
-
-class TestAggregate:
-    def test_constant_sample(self):
-        assert aggregate([5, 5, 5]) == CostStats(mean=5.0, sd=0.0, n=3)
-
-    def test_two_point_sample(self):
-        stats = aggregate([1, 3])
-        assert stats.mean == pytest.approx(2.0)
-        assert stats.sd == pytest.approx(1.0)  # population SD
-
-    def test_empty_sample_rejected(self):
-        with pytest.raises(EmptySample):
-            aggregate([])
-
-    def test_thousand_draws_match_two_pass_reference(self):
-        rng = Random(314159)
-        values = [rng.uniform(0, 1000) for _ in range(1000)]
-        stats = aggregate(values)
-        mean = sum(values) / len(values)
-        sd = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
-        assert stats.mean == pytest.approx(mean, rel=1e-9)
-        assert stats.sd == pytest.approx(sd, rel=1e-9)
-        assert stats.n == 1000
 
 
 class TestPercentGain:
