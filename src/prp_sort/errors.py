@@ -5,28 +5,14 @@ class RankingError(Exception):
     """Base class for all package errors."""
 
 
-class IdenticalPair(RankingError):
-    """A pairwise operation received the same document on both sides."""
-
-
-class UnknownDoc(RankingError):
-    """An oracle was asked about a document it knows nothing about."""
-
-
 class BackendFailure(RankingError):
     """An LLM backend call failed (transport, HTTP status, or bad payload)."""
 
 
-class MissingText(RankingError):
-    """An LLM comparison needs passage text that a candidate does not carry."""
-
-
 class InvalidConfig(RankingError):
-    """An algorithm or experiment configuration violates its contract."""
-
-
-class ZeroBaseline(RankingError):
-    """Percentage gain was requested against a non-positive baseline."""
+    """A configuration or an input violates its contract: a bad config value,
+    a missing passage text, or a document id that is empty, duplicated,
+    unknown or compared with itself."""
 
 
 class FormatError(RankingError):

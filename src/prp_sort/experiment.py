@@ -17,6 +17,7 @@ import json
 import sys
 import threading
 from dataclasses import dataclass, field, replace
+from enum import Enum
 from statistics import fmean, pstdev
 from typing import Any, Callable, Sequence
 
@@ -29,7 +30,7 @@ from .datasets import (
     load_run_file,
 )
 from .errors import BackendFailure, InvalidConfig
-from .metrics import ndcg_at_k, percent_gain
+from .metrics import ndcg_at_k
 from .model import CostLedger
 from .oracles import LlmEndpoint, LlmOracle, NoisyOracle, Oracle, ScoreOracle
 from .seeding import stable_seed
@@ -59,10 +60,21 @@ class FileSource:
 
 @dataclass(frozen=True)
 class OracleSpec:
+    """Which judge answers the comparisons. Checked on construction, like
+    ``ExperimentConfig``."""
+
     kind: str = "score"  # score | noisy | llm
     flip_probability: float = 0.0
     seed: int = 0
     endpoint: LlmEndpoint | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("score", "noisy", "llm"):
+            raise InvalidConfig(f"oracle kind must be score, noisy or llm, got {self.kind!r}")
+        if not 0.0 <= self.flip_probability <= 1.0:
+            raise InvalidConfig(f"flip_probability must be in [0, 1], got {self.flip_probability}")
+        if self.kind == "llm" and self.endpoint is None:
+            raise InvalidConfig("llm oracle requires an endpoint")
 
 
 @dataclass(frozen=True)
@@ -88,12 +100,8 @@ class ExperimentConfig:
             raise InvalidConfig("the algorithm matrix is empty")
         if self.out_format not in ("csv", "jsonl"):
             raise InvalidConfig(f"output format must be csv or jsonl, got {self.out_format!r}")
-        if self.oracle.kind not in ("score", "noisy", "llm"):
-            raise InvalidConfig(f"oracle kind must be score, noisy or llm, got {self.oracle.kind!r}")
         if isinstance(self.dataset, SyntheticSpec) and self.oracle.kind == "llm":
             raise InvalidConfig("synthetic datasets carry no text; use the score or noisy oracle")
-        if self.oracle.kind == "llm" and self.oracle.endpoint is None:
-            raise InvalidConfig("llm oracle requires an endpoint")
         # Aggregates are grouped by label, so two entries sharing one would be
         # silently merged into a single row.
         labels = [algo.label() for algo in self.algorithms]
@@ -157,122 +165,104 @@ class ExperimentReport:
         return compute_aggregates(self.rows)
 
 
-_PIVOTS = {p.value: p for p in PivotStrategy}
-_ALGORITHMS = {a.value: a for a in Algorithm}
-_REQUIRED = object()
 _JSON_KINDS = {
     int: "an integer", float: "a number", bool: "true or false",
     str: "a string", dict: "an object", list: "a list",
 }
 
-
-def _read(section: Any, key: str, kind: type, where: str, default: Any = _REQUIRED) -> Any:
-    """``section[key]``, checked to be a JSON value of ``kind``; a missing key
-    or null gives ``default``, and is an error without one. A bool never
-    counts as a number; an int is accepted as a float."""
-    if not isinstance(section, dict):
-        raise InvalidConfig(f"{where} must be an object, got {type(section).__name__}")
-    value = section.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise InvalidConfig(f"{where} is missing {key!r}")
-        return default
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise InvalidConfig(f"{where}: {key!r} must be {_JSON_KINDS[kind]}, got {value!r}")
-    return value
-
-
-# The keys each config section may carry, by the section's name in errors.
-_KEYS = {
-    "config": {"dataset", "algorithms", "oracle", "k", "seed", "output"},
-    "dataset": {"synthetic", "run", "qrels", "queries", "passages", "depth"},
-    "dataset.synthetic": {"queries", "n"},
-    "oracle": {"kind", "flip_probability", "seed", "endpoint"},
-    "oracle.endpoint": {"url", "model", "api_key_env", "timeout_s", "prompt_template", "retries"},
-    "output": {"path", "format"},
-    "algorithm entry": {"algorithm", "k", "batch_size", "use_cache", "pivot", "partial"},
+# Each config section's keys and the kind of value each takes, by the
+# section's name in errors. An enum kind takes the string value of a member.
+_SECTIONS: dict[str, dict[str, type]] = {
+    "config": {
+        "dataset": dict, "algorithms": list, "oracle": dict,
+        "k": int, "seed": int, "output": dict,
+    },
+    "dataset": {
+        "synthetic": dict, "run": str, "qrels": str,
+        "queries": str, "passages": str, "depth": int,
+    },
+    "dataset.synthetic": {"queries": int, "n": int},
+    "oracle": {"kind": str, "flip_probability": float, "seed": int, "endpoint": dict},
+    "oracle.endpoint": {
+        "url": str, "model": str, "api_key_env": str,
+        "timeout_s": float, "prompt_template": str, "retries": int,
+    },
+    "output": {"path": str, "format": str},
+    "algorithm entry": {
+        "algorithm": Algorithm, "k": int, "batch_size": int,
+        "use_cache": bool, "pivot": PivotStrategy, "partial": bool,
+    },
 }
 
 
-def _known(section: dict[str, Any], where: str) -> dict[str, Any]:
-    """``section``, checked to carry no key outside ``_KEYS[where]``."""
-    unknown = set(section) - _KEYS[where]
+def _section(raw: Any, where: str, required: Sequence[str] = (), **names: str) -> dict[str, Any]:
+    """The non-null entries of the config section ``where``, checked against
+    its ``_SECTIONS`` table and keyed by the dataclass field each sets:
+    ``names`` maps a key to its field where the two differ. An unknown key, a
+    missing ``required`` one or a value of the wrong kind is an error; a bool
+    never counts as a number, and an int is accepted as a float. The keys
+    left out stay out, so every default comes from the dataclass."""
+    if not isinstance(raw, dict):
+        raise InvalidConfig(f"{where} must be an object, got {type(raw).__name__}")
+    kinds = _SECTIONS[where]
+    unknown = set(raw) - set(kinds)
     if unknown:
         raise InvalidConfig(f"unknown {where} keys: {sorted(unknown)}")
-    return section
-
-
-def algo_config_from_dict(entry: dict[str, Any], default_k: int) -> AlgoConfig:
-    """Build one AlgoConfig from a config-file mapping."""
-    where = "algorithm entry"
-    name = _read(entry, "algorithm", str, where)
-    _known(entry, where)
-    if name not in _ALGORITHMS:
-        raise InvalidConfig(f"algorithm must be one of {sorted(_ALGORITHMS)}, got {name!r}")
-    pivot_name = _read(entry, "pivot", str, where, PivotStrategy.MEDIAN_OF_THREE.value)
-    if pivot_name not in _PIVOTS:
-        raise InvalidConfig(f"pivot must be one of {sorted(_PIVOTS)}, got {pivot_name!r}")
-    return AlgoConfig(
-        algorithm=_ALGORITHMS[name],
-        k=_read(entry, "k", int, where, default_k),
-        batch_size=_read(entry, "batch_size", int, where, 1),
-        use_cache=_read(entry, "use_cache", bool, where, False),
-        pivot=_PIVOTS[pivot_name],
-        partial=_read(entry, "partial", bool, where, True),
-    )
+    values: dict[str, Any] = {}
+    for key, value in raw.items():
+        if value is None:
+            continue
+        kind = kinds[key]
+        json_kind = str if issubclass(kind, Enum) else kind
+        accepted = (int, float) if kind is float else json_kind
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+            raise InvalidConfig(f"{where}: {key!r} must be {_JSON_KINDS[json_kind]}, got {value!r}")
+        if kind is not json_kind:
+            try:
+                value = kind(value)
+            except ValueError:
+                choices = sorted(member.value for member in kind)
+                raise InvalidConfig(f"{key} must be one of {choices}, got {value!r}") from None
+        values[names.get(key, key)] = value
+    for key in required:
+        if names.get(key, key) not in values:
+            raise InvalidConfig(f"{where} is missing {key!r}")
+    return values
 
 
 def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON config document."""
-    dataset_raw = _known(_read(raw, "dataset", dict, "config"), "dataset")
-    _known(raw, "config")
-    algorithms_raw = _read(raw, "algorithms", list, "config")
-    if ("synthetic" in dataset_raw) == ("run" in dataset_raw):
+    top = _section(raw, "config", ["dataset", "algorithms"], seed="master_seed")
+    dataset_raw = top.pop("dataset")
+    synthetic = "synthetic" in dataset_raw
+    if synthetic == ("run" in dataset_raw):
         raise InvalidConfig("dataset must carry either a 'synthetic' spec or 'run'+'qrels' paths")
-    if "synthetic" in dataset_raw:
-        synth = _known(_read(dataset_raw, "synthetic", dict, "dataset"), "dataset.synthetic")
-        dataset: SyntheticSpec | FileSource = SyntheticSpec(
-            num_queries=_read(synth, "queries", int, "dataset.synthetic"),
-            n=_read(synth, "n", int, "dataset.synthetic"),
-        )
-    else:
-        dataset = FileSource(
-            run_path=_read(dataset_raw, "run", str, "dataset"),
-            qrels_path=_read(dataset_raw, "qrels", str, "dataset"),
-            queries_path=_read(dataset_raw, "queries", str, "dataset", None),
-            passages_path=_read(dataset_raw, "passages", str, "dataset", None),
-            depth=_read(dataset_raw, "depth", int, "dataset", 100),
-        )
-    k = _read(raw, "k", int, "config", 10)
-    oracle_raw = _known(_read(raw, "oracle", dict, "config", {}), "oracle")
-    kind = _read(oracle_raw, "kind", str, "oracle", "score")
-    endpoint = None
-    if kind == "llm":
-        ep = _known(_read(oracle_raw, "endpoint", dict, "oracle"), "oracle.endpoint")
-        endpoint = LlmEndpoint(
-            url=_read(ep, "url", str, "oracle.endpoint"),
-            model=_read(ep, "model", str, "oracle.endpoint", "default"),
-            api_key_env=_read(ep, "api_key_env", str, "oracle.endpoint", "PRP_SORT_API_KEY"),
-            timeout_s=_read(ep, "timeout_s", float, "oracle.endpoint", 30.0),
-            prompt_template=_read(ep, "prompt_template", str, "oracle.endpoint", None),
-            retries=_read(ep, "retries", int, "oracle.endpoint", 1),
-        )
-    oracle = OracleSpec(
-        kind=kind,
-        flip_probability=_read(oracle_raw, "flip_probability", float, "oracle", 0.0),
-        seed=_read(oracle_raw, "seed", int, "oracle", 0),
-        endpoint=endpoint,
+    dataset = _section(
+        dataset_raw,
+        "dataset",
+        ["synthetic"] if synthetic else ["run", "qrels"],
+        run="run_path",
+        qrels="qrels_path",
+        queries="queries_path",
+        passages="passages_path",
     )
-    output_raw = _known(_read(raw, "output", dict, "config", {}), "output")
+    if synthetic:
+        spec = _section(dataset["synthetic"], "dataset.synthetic", ["queries", "n"])
+        source: SyntheticSpec | FileSource = SyntheticSpec(spec["queries"], spec["n"])
+    else:
+        source = FileSource(**dataset)
+    # An algorithm entry without its own k takes the run's.
+    inherited = {"k": top["k"]} if "k" in top else {}
+    algorithms = [
+        AlgoConfig(**{**inherited, **_section(entry, "algorithm entry", ["algorithm"])})
+        for entry in top.pop("algorithms")
+    ]
+    oracle = _section(top.pop("oracle", {}), "oracle")
+    if "endpoint" in oracle:
+        oracle["endpoint"] = LlmEndpoint(**_section(oracle["endpoint"], "oracle.endpoint", ["url"]))
+    output = _section(top.pop("output", {}), "output", path="out_path", format="out_format")
     return ExperimentConfig(
-        dataset=dataset,
-        algorithms=[algo_config_from_dict(a, k) for a in algorithms_raw],
-        oracle=oracle,
-        k=k,
-        master_seed=_read(raw, "seed", int, "config", 0),
-        out_path=_read(output_raw, "path", str, "output", None),
-        out_format=_read(output_raw, "format", str, "output", "csv"),
+        dataset=source, algorithms=algorithms, oracle=OracleSpec(**oracle), **top, **output
     )
 
 
@@ -464,7 +454,7 @@ def compute_aggregates(rows: list[QueryRow]) -> list[AggregateRow]:
 
     A row group whose config names a ``baseline()`` gets the percentage gain
     in mean inference calls over that baseline's group, when the baseline is
-    present with the same k.
+    present with the same k: positive when the group needs fewer calls.
     """
     groups: dict[str, list[QueryRow]] = {}
     for row in rows:
@@ -504,10 +494,9 @@ def compute_aggregates(rows: list[QueryRow]) -> list[AggregateRow]:
             and baseline.mean_inference_calls
             and agg.mean_inference_calls is not None
         ):
+            base = baseline.mean_inference_calls
             agg.baseline = baseline.algorithm
-            agg.gain_pct = percent_gain(
-                baseline.mean_inference_calls, agg.mean_inference_calls
-            )
+            agg.gain_pct = 100.0 * (base - agg.mean_inference_calls) / base
     return aggregates
 
 

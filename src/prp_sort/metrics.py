@@ -1,4 +1,4 @@
-"""Ranking quality (NDCG@k) and percentage gain."""
+"""Ranking quality: graded relevance judgments and NDCG@k."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import InvalidConfig, ZeroBaseline
+from .errors import InvalidConfig
 from .model import DocId
 
 
@@ -52,13 +52,3 @@ def ndcg_at_k(ranking: Sequence[DocId], grades: RelevanceMap, qid: str, k: int) 
         return 0.0
     return dcg / idcg
 
-
-def percent_gain(baseline: float, optimized: float) -> float:
-    """Percentage reduction of ``optimized`` relative to ``baseline``.
-
-    Positive when the optimized value is smaller; the sign flips when it
-    exceeds the baseline.
-    """
-    if baseline <= 0:
-        raise ZeroBaseline(f"baseline must be positive, got {baseline}")
-    return 100.0 * (baseline - optimized) / baseline

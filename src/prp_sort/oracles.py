@@ -14,7 +14,9 @@ from __future__ import annotations
 import http.client
 import json
 import os
+import re
 import select
+import threading
 import urllib.parse
 import urllib.request
 import warnings
@@ -22,14 +24,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import (
-    BackendFailure,
-    IdenticalPair,
-    InvalidConfig,
-    MissingText,
-    ParseFallbackWarning,
-    UnknownDoc,
-)
+from .errors import BackendFailure, InvalidConfig, ParseFallbackWarning
 from .model import Candidate, CostLedger, DocId, Preference
 from .seeding import stable_seed
 
@@ -79,13 +74,13 @@ class ScoreOracle(Oracle):
     def compare(self, req: ComparisonRequest) -> Preference:
         a, b = req
         if a == b:
-            raise IdenticalPair(f"cannot compare document {a!r} with itself")
+            raise InvalidConfig(f"cannot compare document {a!r} with itself")
         scores = self._scores
         try:
             sa = scores[a]
             sb = scores[b]
         except KeyError as exc:
-            raise UnknownDoc(f"no score for document {exc.args[0]!r}") from None
+            raise InvalidConfig(f"no score for document {exc.args[0]!r}") from None
         if sa > sb:
             return Preference.FIRST
         if sb > sa:
@@ -220,7 +215,7 @@ def build_prp_prompt(
     """
     for cand in (a, b):
         if cand.text is None:
-            raise MissingText(f"candidate {cand.doc!r} has no passage text")
+            raise InvalidConfig(f"candidate {cand.doc!r} has no passage text")
     tpl = DEFAULT_PROMPT_TEMPLATE if template is None else template
     return (
         tpl.replace("{query}", query)
@@ -229,24 +224,20 @@ def build_prp_prompt(
     )
 
 
-_LABEL_A = "passage a"
-_LABEL_B = "passage b"
+_LABEL = re.compile(r"\bpassage ([ab])\b")
 
 
 def parse_preference_label(completion: str) -> tuple[Preference, bool]:
-    """Map a completion to a Preference by its earliest label token.
+    """Map a completion to a Preference by its earliest label, ``Passage A``
+    or ``Passage B`` as whole words, in any case.
 
     Returns (preference, parsed). Unparseable completions map to
     (FIRST, False); the caller decides how loudly to complain.
     """
-    lowered = completion.lower()
-    pos_a = lowered.find(_LABEL_A)
-    pos_b = lowered.find(_LABEL_B)
-    if pos_a >= 0 and (pos_b < 0 or pos_a <= pos_b):
-        return Preference.FIRST, True
-    if pos_b >= 0:
-        return Preference.SECOND, True
-    return Preference.FIRST, False
+    match = _LABEL.search(completion.lower())
+    if match is None:
+        return Preference.FIRST, False
+    return (Preference.FIRST if match.group(1) == "a" else Preference.SECOND), True
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,8 +259,11 @@ class LlmEndpoint:
     retries: int = 1
 
     def __post_init__(self) -> None:
-        if self.timeout_s <= 0:
-            raise InvalidConfig(f"timeout_s must be > 0, got {self.timeout_s}")
+        # Past TIMEOUT_MAX, or at NaN, socket.settimeout raises.
+        if not 0 < self.timeout_s <= threading.TIMEOUT_MAX:
+            raise InvalidConfig(
+                f"timeout_s must be > 0 and at most {threading.TIMEOUT_MAX}, got {self.timeout_s}"
+            )
         if self.retries < 0:
             raise InvalidConfig(f"retries must be >= 0, got {self.retries}")
 
@@ -426,7 +420,7 @@ class LlmOracle(Oracle):
         self._by_doc: dict[DocId, Candidate] = {}
         for cand in candidates:
             if cand.text is None:
-                raise MissingText(f"candidate {cand.doc!r} has no passage text")
+                raise InvalidConfig(f"candidate {cand.doc!r} has no passage text")
             self._by_doc[cand.doc] = cand
         self._connection = _Connection(endpoint)
 
@@ -440,7 +434,7 @@ class LlmOracle(Oracle):
                 a = self._by_doc[req.first]
                 b = self._by_doc[req.second]
             except KeyError as exc:
-                raise UnknownDoc(f"no passage for document {exc.args[0]!r}") from None
+                raise InvalidConfig(f"no passage for document {exc.args[0]!r}") from None
             prompts.append(build_prp_prompt(self.query, a, b, self.endpoint.prompt_template))
         return llm_compare_batch(self.endpoint, prompts, self._connection)
 

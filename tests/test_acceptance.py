@@ -42,7 +42,7 @@ from prp_sort import (
 from prp_sort.cli import main as cli_main
 from prp_sort.errors import FormatError
 from prp_sort.experiment import compute_aggregates
-from prp_sort.metrics import RelevanceMap, percent_gain
+from prp_sort.metrics import RelevanceMap
 from helpers import RecordingExecutor, random_instance, true_topk
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -187,8 +187,9 @@ def cost_model_aggregates():
 
 def test_criterion_5a_quicksort_b2_beats_heapsort(cost_model_aggregates):
     heap = cost_model_aggregates["heapsort"].mean_inference_calls
-    quick = cost_model_aggregates["quicksort (median-of-three, b=2)"].mean_inference_calls
-    gain = percent_gain(heap, quick)
+    quicksort = cost_model_aggregates["quicksort (median-of-three, b=2)"]
+    quick, gain = quicksort.mean_inference_calls, quicksort.gain_pct
+    assert quicksort.baseline == "heapsort"
     _report(
         "5a (quicksort b=2 vs heapsort)",
         gain >= 35.0,
@@ -235,8 +236,8 @@ def test_criterion_5b_batch128_call_band_median_of_three(cost_model_aggregates):
 )
 def test_criterion_5c_bubblesort_cache_saving_band(cost_model_aggregates):
     classic = cost_model_aggregates["bubblesort (classic)"].mean_inference_calls
-    cached = cost_model_aggregates["bubblesort (cached)"].mean_inference_calls
-    saving = percent_gain(classic, cached)
+    bubblesort = cost_model_aggregates["bubblesort (cached)"]
+    cached, saving = bubblesort.mean_inference_calls, bubblesort.gain_pct
     _report(
         "5c (bubblesort cache saving)",
         30.0 <= saving <= 60.0,

@@ -139,6 +139,9 @@ class TestRun:
             LLM_CONFIG.replace('"retries": 0', '"timeout_s": -1'),
             LLM_CONFIG.replace('"retries": 0', '"timeout_s": 0'),
             LLM_CONFIG.replace('"retries": 0', '"retries": -1'),
+            LLM_CONFIG.replace('"retries": 0', '"timeout_s": NaN'),
+            LLM_CONFIG.replace('"retries": 0', '"timeout_s": Infinity'),
+            LLM_CONFIG.replace('"retries": 0', '"timeout_s": 1e10'),
             '{"dataset": {"synthetic": {"queries": 2, "n": 8}}, "oracle": {"kind": "noisy",'
             ' "flip_prob": 0.3}, "algorithms": [{"algorithm": "heapsort"}]}',
             '{"dataset": {"synthetic": {"queries": 2, "n": 8}}, "sed": 5,'
@@ -154,6 +157,9 @@ class TestRun:
             "negative-timeout",
             "zero-timeout",
             "negative-retries",
+            "nan-timeout",
+            "infinite-timeout",
+            "overflowing-timeout",
             "misspelt-oracle-key",
             "misspelt-top-level-key",
             "both-dataset-kinds",

@@ -387,6 +387,8 @@ class TestConfigParsing:
             (("dataset",), [], "'dataset'"),
             (("oracle",), "score", "'oracle'"),
             (("dataset",), {"qrels": "qrels.txt"}, "either"),
+            (("algorithms", 0, "algorithm"), ["heapsort"], "'algorithm'"),
+            (("oracle", "endpoint"), {"model": "m"}, "'url'"),
         ],
     )
     def test_malformed_value_rejected(self, path, value, named):
@@ -405,6 +407,40 @@ class TestConfigParsing:
         raw["dataset"] = {"run": "run.txt", "qrels": "qrels.txt"}
         raw["oracle"] = {"kind": "llm", "endpoint": {"url": "http://x/", "timeout_s": 5}}
         assert config_from_dict(raw).oracle.endpoint.timeout_s == 5
+
+    def test_absent_and_null_keys_take_the_dataclass_defaults(self):
+        dataset = {"synthetic": {"queries": 1, "n": 4}}
+        config = config_from_dict({"dataset": dataset, "algorithms": [{"algorithm": "heapsort"}]})
+        assert config.algorithms == (AlgoConfig(Algorithm.HEAPSORT),)
+        assert config.oracle == OracleSpec()
+        assert config == ExperimentConfig(SyntheticSpec(1, 4), [AlgoConfig(Algorithm.HEAPSORT)])
+        raw = {
+            "dataset": {"run": "run.txt", "qrels": "qrels.txt", "depth": None},
+            "oracle": {"kind": "llm", "endpoint": {"url": "http://x/", "model": None}},
+            "algorithms": [{"algorithm": "heapsort", "pivot": None}],
+            "output": {"path": None},
+        }
+        config = config_from_dict(raw)
+        assert config.dataset == FileSource(run_path="run.txt", qrels_path="qrels.txt")
+        assert config.oracle.endpoint == LlmEndpoint(url="http://x/")
+        assert config.algorithms == (AlgoConfig(Algorithm.HEAPSORT),)
+        assert config.out_path is None
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"flip_probability": 1.5}, r"flip_probability must be in \[0, 1\]"),
+            ({"flip_probability": -0.1}, r"flip_probability must be in \[0, 1\]"),
+            ({"flip_probability": math.nan}, r"flip_probability must be in \[0, 1\]"),
+            ({"kind": "coin-flip"}, "oracle kind"),
+            ({"kind": "llm"}, "requires an endpoint"),
+        ],
+        ids=["above-one", "negative", "nan", "unknown-kind", "llm-without-endpoint"],
+    )
+    def test_oracle_spec_checks_itself(self, change, message):
+        spec = OracleSpec(kind="noisy", flip_probability=0.5)
+        with pytest.raises(InvalidConfig, match=message):
+            replace(spec, **change)
 
     def test_replace_cannot_build_an_invalid_config(self):
         with pytest.raises(InvalidConfig, match="format"):

@@ -14,6 +14,7 @@ from prp_sort import (
     BatchExecutor,
     Candidate,
     ComparisonRequest,
+    InvalidConfig,
     LlmEndpoint,
     ParseFallbackWarning,
     Preference,
@@ -22,7 +23,6 @@ from prp_sort import (
     run_experiment,
 )
 from prp_sort import experiment
-from prp_sort.errors import MissingText, UnknownDoc
 from prp_sort.experiment import ExperimentConfig, FileSource, OracleSpec, SyntheticSpec
 from prp_sort.oracles import LlmOracle
 
@@ -168,12 +168,12 @@ class TestLlmOracle:
         assert "beta passage" in prompt
 
     def test_candidates_without_text_are_rejected_upfront(self, server):
-        with pytest.raises(MissingText):
+        with pytest.raises(InvalidConfig, match="has no passage text"):
             LlmOracle(endpoint_for(server), "q", [Candidate("dX")])
 
     def test_unknown_doc_is_rejected_before_any_post(self, server):
         with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:
-            with pytest.raises(UnknownDoc, match="dZ"):
+            with pytest.raises(InvalidConfig, match="no passage for document 'dZ'"):
                 oracle.compare(ComparisonRequest("dA", "dZ"))
         assert server.requests == []
 

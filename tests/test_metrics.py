@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prp_sort import InvalidConfig, ndcg_at_k
-from prp_sort.errors import ZeroBaseline
-from prp_sort.metrics import RelevanceMap, percent_gain
+from prp_sort.metrics import RelevanceMap
 
 grades_strategy = st.dictionaries(
     st.sampled_from([f"d{i}" for i in range(12)]), st.integers(0, 4), max_size=12
@@ -73,23 +72,3 @@ class TestNdcg:
             head + shuffled_tail, grades_map, "q", k
         )
 
-
-class TestPercentGain:
-    def test_basic_reduction(self):
-        assert percent_gain(200, 110) == pytest.approx(45.0)
-
-    def test_no_change_is_zero(self):
-        assert percent_gain(123.4, 123.4) == 0.0
-
-    def test_total_reduction(self):
-        assert percent_gain(100, 0) == pytest.approx(100.0)
-
-    def test_zero_baseline_rejected(self):
-        with pytest.raises(ZeroBaseline):
-            percent_gain(0, 10)
-
-    @given(st.floats(1e-3, 1e6), st.floats(0, 1e6))
-    @settings(max_examples=60)
-    def test_sign_flips_around_the_baseline(self, baseline, delta):
-        assert percent_gain(baseline, baseline - delta) >= 0
-        assert percent_gain(baseline, baseline + delta) <= 0

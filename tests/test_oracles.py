@@ -20,7 +20,6 @@ from prp_sort import (
     bubblesort_topk,
     parse_preference_label,
 )
-from prp_sort.errors import IdenticalPair, MissingText, UnknownDoc
 from prp_sort.seeding import stable_seed
 from helpers import CountingOracle, RecordingExecutor, random_instance
 
@@ -43,12 +42,12 @@ class TestScoreOracle:
 
     def test_unknown_doc(self):
         oracle = ScoreOracle({"d1": 0.5})
-        with pytest.raises(UnknownDoc):
+        with pytest.raises(InvalidConfig, match="no score for document 'dX'"):
             oracle.compare(ComparisonRequest("d1", "dX"))
 
     def test_identical_pair(self):
         oracle = ScoreOracle({"d1": 0.5})
-        with pytest.raises(IdenticalPair):
+        with pytest.raises(InvalidConfig, match="with itself"):
             oracle.compare(ComparisonRequest("d1", "d1"))
 
 
@@ -98,7 +97,7 @@ class TestNoisyOracle:
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
     def test_identical_pair_is_rejected(self, p):
         oracle = NoisyOracle(ScoreOracle({"d1": 0.5}), p, seed=0)
-        with pytest.raises(IdenticalPair):
+        with pytest.raises(InvalidConfig, match="with itself"):
             oracle.compare(ComparisonRequest("d1", "d1"))
 
     def test_flip_probability_validated(self):
@@ -131,7 +130,7 @@ class TestExecutorCache:
         executor = BatchExecutor(batch_size=2, use_cache=True)
         good, bad = ComparisonRequest("d1", "d2"), ComparisonRequest("d1", "dX")
         # The failing chunk also carries a pair the base could answer.
-        with pytest.raises(UnknownDoc):
+        with pytest.raises(InvalidConfig, match="no score for document 'dX'"):
             executor.submit_group(oracle, [good, bad])
         assert executor.ledger.inference_calls == 0
         executor.submit_group(oracle, [good])
@@ -389,7 +388,7 @@ class TestPromptBuilding:
         assert build_prp_prompt("q", b, a, template) == "A=yy;B=xx"
 
     def test_missing_text_is_rejected(self):
-        with pytest.raises(MissingText):
+        with pytest.raises(InvalidConfig, match="has no passage text"):
             build_prp_prompt("q", Candidate("a"), Candidate("b", text="y"))
 
 
@@ -403,6 +402,12 @@ class TestLabelParsing:
             ("I think Passage A, not Passage B", Preference.FIRST, True),
             ("neither", Preference.FIRST, False),
             ("", Preference.FIRST, False),
+            (
+                "The passage about rivers is weaker; Passage B is more relevant.",
+                Preference.SECOND,
+                True,
+            ),
+            ("Passage Alpha", Preference.FIRST, False),
         ],
     )
     def test_labels(self, completion, expected, parsed):
