@@ -36,8 +36,11 @@ from .oracles import LlmEndpoint, LlmOracle, NoisyOracle, Oracle, ScoreOracle
 from .seeding import stable_seed
 
 # Cells of an llm sweep in flight at once. Each worker thread gets its own
-# malloc arena, which put peak RSS past the benchmark's bound at 8.
-LLM_CONCURRENCY = 4
+# malloc arena, so peak RSS grows with the pool. Eight stay within a few
+# percent of the RSS that four took over http.client, because a call no
+# longer copies its request body to join the head, nor asks a receive for
+# 64 KiB (oracles._RECV_SIZE).
+LLM_CONCURRENCY = 8
 
 
 @dataclass(frozen=True)

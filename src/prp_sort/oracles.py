@@ -11,14 +11,13 @@ pair's first answer.
 
 from __future__ import annotations
 
-import http.client
 import json
 import os
 import re
 import select
+import socket
 import threading
 import urllib.parse
-import urllib.request
 import warnings
 from dataclasses import dataclass
 from random import Random
@@ -268,11 +267,32 @@ class LlmEndpoint:
             raise InvalidConfig(f"retries must be >= 0, got {self.retries}")
 
 
+# Caps on a reply head, as in ``http.client``: a longer line, or more header
+# lines, fails the call instead of growing a buffer without bound.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_RECV_SIZE = 8192  # replies are small; each thread's malloc arena holds what one receive asks for
+_DEFAULT_PORT = {"http": 80, "https": 443}
+_STATUS_LINE = re.compile(rb"HTTP/1\.(\d) (\d{3})(?: .*)?\r?\n")
+_CHUNK_SIZE_LINE = re.compile(rb"([0-9a-fA-F]{1,16})[ \t]*(?:;.*)?\r?\n")
+_REQUEST_TOKEN = re.compile(r"[!-~]+")  # what a request line and Host may hold
+
+
+class _HttpError(Exception):
+    """A reply that breaks HTTP/1.1, or an endpoint URL no request can go to."""
+
+
+class _Unanswered(ConnectionError):
+    """The request could not be sent, or the peer closed the connection
+    before a status line."""
+
+
 class _Connection:
     """One kept-alive HTTP/1.1 connection to an endpoint, reused across calls.
 
     The socket opens on the first POST and reopens after the peer or an
-    error closed it. Proxies come from the environment (``HTTP_PROXY``,
+    error closed it. Replies are read through one buffer kept for the
+    socket's life. Proxies come from the environment (``HTTP_PROXY``,
     ``HTTPS_PROXY``, ``NO_PROXY``), read each time the socket opens: an
     ``http`` URL is sent to the proxy with the absolute URL as the target,
     an ``https`` URL is tunnelled through it with CONNECT.
@@ -280,29 +300,10 @@ class _Connection:
 
     def __init__(self, endpoint: LlmEndpoint):
         self.endpoint = endpoint
-        self._http: http.client.HTTPConnection | None = None  # open; carried a reply
+        self._sock: socket.socket | None = None  # open; carried a reply, if any, that kept it
+        self._buf = bytearray()  # received and not yet read
         self._target = ""
-
-    def _open(self) -> http.client.HTTPConnection:
-        url = urllib.parse.urlsplit(self.endpoint.url)
-        if url.scheme not in ("http", "https") or not url.hostname:
-            raise http.client.InvalidURL(f"not an http(s) URL: {self.endpoint.url!r}")
-        address = url.netloc.rpartition("@")[2]
-        self._target = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
-        proxy = None
-        if not urllib.request.proxy_bypass(url.hostname):
-            proxy = urllib.request.getproxies().get(url.scheme)
-        if proxy:
-            proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-            address, origin = proxy_url.netloc.rpartition("@")[2], address
-            if url.scheme == "http":
-                self._target = f"http://{origin}{self._target}"
-        if url.scheme == "http":
-            return http.client.HTTPConnection(address, timeout=self.endpoint.timeout_s)
-        conn = http.client.HTTPSConnection(address, timeout=self.endpoint.timeout_s)
-        if proxy:
-            conn.set_tunnel(origin)
-        return conn
+        self._host = ""
 
     def post(self, body: bytes, headers: Mapping[str, str]) -> tuple[int, bytes]:
         """POST ``body`` and read the whole reply, so the connection stays
@@ -318,41 +319,209 @@ class _Connection:
         retries = self.endpoint.retries
         resend = True
         while True:
-            conn, self._http = self._http, None
-            # An idle socket that reads ready was closed by the peer; a reply
-            # that asked to close the connection has closed it already.
-            if conn is not None and (conn.sock is None or select.select([conn.sock], [], [], 0)[0]):
-                conn.close()
-                conn = None
-            reused = conn is not None
-            sent = answered = False
+            # An idle socket that reads ready was closed by the peer, or holds
+            # bytes that no request of ours asked for.
+            if self._sock is not None and select.select([self._sock], [], [], 0)[0]:
+                self.close()
+            reused = self._sock is not None
             try:
-                conn = conn or self._open()
-                conn.request("POST", self._target, body, headers)
-                sent = True
-                response = conn.getresponse()
-                answered = True
-                data = response.read()
+                return self._attempt(body, headers)
             except BaseException as exc:
-                if conn is not None:
-                    conn.close()
-                if not isinstance(exc, (OSError, http.client.HTTPException)):
+                self.close()
+                if not isinstance(exc, (OSError, _HttpError)):
                     raise
-                no_status_line = not answered and isinstance(exc, ConnectionResetError)
-                if reused and resend and (not sent or no_status_line):
+                if reused and resend and isinstance(exc, _Unanswered):
                     resend = False
                 elif retries:
                     retries -= 1
                 else:
                     raise BackendFailure(f"POST {self.endpoint.url} failed: {exc}") from exc
-            else:
-                self._http = conn
-                return response.status, data
+
+    def _attempt(self, body: bytes, headers: Mapping[str, str]) -> tuple[int, bytes]:
+        """One HTTP exchange: open the socket unless one is kept, send the
+        request, read the whole reply; returns (status, body). The socket is
+        kept only if the reply lets it stay open and ended where its framing
+        said."""
+        sock = self._sock or self._open()
+        head = (
+            f"POST {self._target} HTTP/1.1\r\nHost: {self._host}\r\n"
+            f"Accept-Encoding: identity\r\nContent-Length: {len(body)}\r\n"
+            + "".join(f"{name}: {value}\r\n" for name, value in headers.items())
+            + "\r\n"
+        ).encode("latin-1")
+        # Two sends, not one of head + body: the body can be tens of kB, and
+        # TCP_NODELAY keeps the second send from waiting on the first's ACK.
+        try:
+            sock.sendall(head)
+            sock.sendall(body)
+        except OSError as exc:
+            raise _Unanswered(str(exc)) from exc
+        status, keep_alive, reply_headers = self._read_head()
+        data, keep_alive = self._read_body(status, reply_headers, keep_alive)
+        if not keep_alive or self._buf:
+            self.close()
+        return status, data
+
+    def _open(self) -> socket.socket:
+        """Connect to the endpoint, or to its proxy, and keep the socket."""
+        endpoint = self.endpoint
+        url = urllib.parse.urlsplit(endpoint.url)
+        try:
+            port = url.port or _DEFAULT_PORT.get(url.scheme)
+        except ValueError as exc:
+            raise _HttpError(f"not an http(s) URL: {endpoint.url!r} ({exc})") from None
+        origin = url.netloc.rpartition("@")[2]
+        target = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
+        if (
+            url.scheme not in _DEFAULT_PORT
+            or not url.hostname
+            or not _REQUEST_TOKEN.fullmatch(origin)
+            or not _REQUEST_TOKEN.fullmatch(target)
+        ):
+            raise _HttpError(f"not an http(s) URL: {endpoint.url!r}")
+        # Loaded here, not at import: urllib.request pulls in http.client,
+        # email and ssl, which a program that opens no connection never needs.
+        from urllib.request import getproxies, proxy_bypass
+
+        address = (url.hostname, port)
+        proxy = None
+        if not proxy_bypass(url.hostname):
+            proxy = getproxies().get(url.scheme)
+        if proxy:
+            proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            try:
+                address = (proxy_url.hostname, proxy_url.port or _DEFAULT_PORT[url.scheme])
+            except ValueError as exc:
+                raise _HttpError(f"bad {url.scheme} proxy URL: {exc}") from None
+            if not proxy_url.hostname:
+                raise _HttpError(f"bad {url.scheme} proxy URL: {proxy!r}")
+            if url.scheme == "http":
+                target = f"http://{origin}{target}"
+        self._target, self._host = target, origin
+        sock = self._sock = socket.create_connection(address, timeout=endpoint.timeout_s)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if url.scheme == "https":
+            if proxy:
+                host = f"[{url.hostname}]" if ":" in url.hostname else url.hostname
+                self._tunnel(sock, f"{host}:{port}")
+            import ssl
+
+            # Certificates and the host name are verified; SNI is sent.
+            context = ssl.create_default_context()
+            context.set_alpn_protocols(["http/1.1"])
+            sock = self._sock = context.wrap_socket(sock, server_hostname=url.hostname)
+        return sock
+
+    def _tunnel(self, sock: socket.socket, origin: str) -> None:
+        """Ask the proxy at the other end of ``sock`` for a tunnel to ``origin``."""
+        sock.sendall(f"CONNECT {origin} HTTP/1.1\r\nHost: {origin}\r\n\r\n".encode("ascii"))
+        status = self._read_head()[0]
+        if status != 200:
+            raise OSError(f"Tunnel connection failed: {status}")
+
+    def _read_head(self) -> tuple[int, bool, dict[bytes, bytes]]:
+        """Read a final status line and its header lines, skipping any 1xx
+        reply; returns (status, keep-alive, headers by lower-case name)."""
+        while True:
+            try:
+                line = self._line()
+            except ConnectionResetError as exc:
+                raise _Unanswered(str(exc)) from exc
+            if not line:
+                raise _Unanswered("Remote end closed connection without response")
+            match = _STATUS_LINE.fullmatch(line)
+            if match is None:
+                raise _HttpError(f"bad status line {line[:80]!r}")
+            headers = self._read_headers()
+            status = int(match[2])
+            if status >= 200:
+                tokens = {t.strip() for t in headers.get(b"connection", b"").lower().split(b",")}
+                if match[1] == b"0":  # HTTP/1.0 closes unless asked to keep alive
+                    return status, b"keep-alive" in tokens, headers
+                return status, b"close" not in tokens, headers
+
+    def _read_headers(self) -> dict[bytes, bytes]:
+        """Header (or trailer) lines up to the blank line that ends them."""
+        headers = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = self._line()
+            if line in (b"\r\n", b"\n"):
+                return headers
+            if not line:
+                raise _HttpError("connection closed inside a reply head")
+            name, _, value = line.partition(b":")
+            headers[name.strip().lower()] = value.strip()
+        raise _HttpError(f"reply has more than {_MAX_HEADERS} header lines")
+
+    def _read_body(
+        self, status: int, headers: Mapping[bytes, bytes], keep_alive: bool
+    ) -> tuple[bytes, bool]:
+        """The reply body, framed by ``chunked``, ``Content-Length`` or the
+        close of the connection; returns (body, keep-alive)."""
+        if status in (204, 304):
+            return b"", keep_alive
+        if headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+            parts = []
+            while True:
+                line = self._line()
+                match = _CHUNK_SIZE_LINE.fullmatch(line)
+                if match is None:
+                    raise _HttpError(f"bad chunk size line {line[:80]!r}")
+                size = int(match[1], 16)
+                if not size:
+                    break
+                parts.append(self._read(size))
+                if self._line() not in (b"\r\n", b"\n"):
+                    raise _HttpError("chunk data not followed by a line end")
+            self._read_headers()  # trailers
+            return b"".join(parts), keep_alive
+        length = headers.get(b"content-length")
+        if length is not None:
+            if not length.isdigit():
+                raise _HttpError(f"bad Content-Length {length[:80]!r}")
+            return self._read(int(length)), keep_alive
+        while self._fill():
+            pass
+        data = bytes(self._buf)
+        self._buf.clear()
+        return data, False
+
+    def _fill(self) -> bool:
+        """Receive more bytes into the buffer; False at the end of stream."""
+        data = self._sock.recv(_RECV_SIZE)  # type: ignore[union-attr]
+        self._buf += data
+        return bool(data)
+
+    def _line(self) -> bytes:
+        """The next line with its line end; b"" at a clean end of stream."""
+        buf = self._buf
+        start = 0
+        while (end := buf.find(b"\n", start, _MAX_LINE)) < 0:
+            if len(buf) >= _MAX_LINE:
+                raise _HttpError(f"reply line longer than {_MAX_LINE} bytes")
+            start = len(buf)
+            if not self._fill():
+                if buf:
+                    raise _HttpError("connection closed inside a reply line")
+                return b""
+        line = bytes(buf[: end + 1])
+        del buf[: end + 1]
+        return line
+
+    def _read(self, size: int) -> bytes:
+        buf = self._buf
+        while len(buf) < size:
+            if not self._fill():
+                raise _HttpError(f"reply body ended after {len(buf)} of {size} bytes")
+        data = bytes(buf[:size])
+        del buf[:size]
+        return data
 
     def close(self) -> None:
-        if self._http is not None:
-            self._http.close()
-            self._http = None
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
+        self._buf.clear()
 
 
 def llm_compare_batch(
@@ -370,6 +539,8 @@ def llm_compare_batch(
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(endpoint.api_key_env, "")
     if api_key:
+        if not _REQUEST_TOKEN.fullmatch(api_key):  # it goes into the request head as is
+            raise InvalidConfig(f"{endpoint.api_key_env} must be printable ASCII without spaces")
         headers["Authorization"] = f"Bearer {api_key}"
     body = json.dumps({"model": endpoint.model, "prompts": list(prompts)}).encode("utf-8")
     if connection is None:

@@ -4,7 +4,9 @@ It keeps connections alive, serves each on its own thread, and counts the
 connections it accepted and the ones that ended. Tests queue replies in
 ``server.responses``: a ``(status, body)`` pair, where body is a JSON value,
 raw bytes, a function of the request payload or None for "Passage A" to
-every prompt; or ``"drop"``, which closes the connection without replying.
+every prompt; bytes, sent verbatim as the whole reply, after which the
+connection stays open as for any other reply; or ``"drop"``, which closes the
+connection without replying.
 With ``server.close_after_reply`` set, every reply is followed by a close
 that the reply does not announce, as an idle timeout would do. With
 ``server.goodbye`` set to bytes, the server sends them unasked a moment after
@@ -46,6 +48,8 @@ class _Handler(BaseHTTPRequestHandler):
                 {
                     "payload": payload,
                     "authorization": self.headers.get("Authorization"),
+                    "proxy_authorization": self.headers.get("Proxy-Authorization"),
+                    "host": self.headers.get("Host"),
                     "content_type": self.headers.get("Content-Type"),
                     "target": self.path,
                 }
@@ -67,20 +71,24 @@ class _Handler(BaseHTTPRequestHandler):
         if reply == "drop":
             self.close_connection = True
             return
-        status, body = reply
-        if body is None:
-            body = {"completions": ["Passage A"] * len(payload.get("prompts", []))}
-        if callable(body):
-            body = body(payload)
-        data = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(data)}\r\n\r\n"
-        ).encode("ascii")
+        if isinstance(reply, bytes):
+            response = reply
+        else:
+            status, body = reply
+            if body is None:
+                body = {"completions": ["Passage A"] * len(payload.get("prompts", []))}
+            if callable(body):
+                body = body(payload)
+            data = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
+            head = (
+                f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(data)}\r\n\r\n"
+            ).encode("ascii")
+            response = head + data
         # Header and body leave in one write: split writes meet delayed ACK
         # on a reused connection and cost tens of milliseconds per call.
-        self.wfile.write(head + data)
+        self.wfile.write(response)
         if self.server.close_after_reply:
             self.close_connection = True
         elif self.server.goodbye is not None:
@@ -107,6 +115,7 @@ class _Handler(BaseHTTPRequestHandler):
 
 class _Backend(ThreadingHTTPServer):
     daemon_threads = True
+    request_queue_size = 32  # every cell of a full pool connects at once
 
     def __init__(self):
         super().__init__(("127.0.0.1", 0), _Handler)

@@ -82,16 +82,26 @@ def test_readme_example_runs_and_gives_its_stated_ranking():
         assert namespace["ranking"] == ["d2", "d3"]
 
 
+# Loaded only when first needed: a connection opens, or the version is asked.
+NOT_LOADED_BY_IMPORT = [
+    "importlib.metadata",  # the version is looked up on first use
+    "concurrent.futures",
+    "http.client",
+    "email.parser",
+    "ssl",
+    "urllib.request",
+]
+
+
 def test_package_needs_no_third_party_http_client(server):
     """With ``requests`` unimportable, the package imports and makes a call.
-    The import loads neither ``importlib.metadata`` (the version is looked up
-    on first use) nor ``concurrent.futures``."""
+    The import loads none of ``NOT_LOADED_BY_IMPORT``."""
     code = (
         "import sys\n"
         "sys.modules['requests'] = None\n"
         "import prp_sort\n"
-        "assert 'importlib.metadata' not in sys.modules\n"
-        "assert 'concurrent.futures' not in sys.modules\n"
+        f"loaded = [name for name in {NOT_LOADED_BY_IMPORT!r} if name in sys.modules]\n"
+        "assert not loaded, loaded\n"
         f"endpoint = prp_sort.LlmEndpoint(url={server.url!r}, retries=0, timeout_s=5.0)\n"
         "assert prp_sort.llm_compare_batch(endpoint, ['p1']) == [prp_sort.Preference.FIRST]\n"
     )

@@ -115,6 +115,12 @@ class TestLlmCompareBatch:
         llm_compare_batch(endpoint_for(server), ["p1"])
         assert server.requests[0]["authorization"] is None
 
+    def test_api_key_that_would_break_the_request_head_is_rejected(self, server, monkeypatch):
+        monkeypatch.setenv("PRP_SORT_API_KEY", "sekret\r\nX-Injected: 1")
+        with pytest.raises(InvalidConfig, match="PRP_SORT_API_KEY"):
+            llm_compare_batch(endpoint_for(server), ["p1"])
+        assert server.requests == []
+
 
 class TestLlmOracle:
     def test_batched_execution_posts_once_per_chunk(self, server):
@@ -238,10 +244,15 @@ class TestTransport:
 
     def test_http_proxy_gets_the_absolute_url(self, server, monkeypatch):
         clear_proxies(monkeypatch)
-        monkeypatch.setenv("HTTP_PROXY", server.url.rsplit("/", 1)[0])
-        endpoint = LlmEndpoint(url="http://backend.invalid/complete?v=1", retries=0)
+        monkeypatch.delenv("PRP_SORT_API_KEY", raising=False)
+        monkeypatch.setenv("HTTP_PROXY", server.url.replace("http://", "http://puser:ppw@", 1))
+        endpoint = LlmEndpoint(url="http://user:pw@backend.invalid/complete?v=1", retries=0)
         assert llm_compare_batch(endpoint, ["p1"]) == [Preference.FIRST]
-        assert server.requests[0]["target"] == "http://backend.invalid/complete?v=1"
+        request = server.requests[0]
+        assert request["target"] == "http://backend.invalid/complete?v=1"
+        assert request["host"] == "backend.invalid"
+        assert request["authorization"] is None
+        assert request["proxy_authorization"] is None
 
     def test_no_proxy_bypasses_the_proxy(self, server, monkeypatch):
         # The endpoint is local, so that bypassing needs no name lookup.
@@ -286,6 +297,97 @@ class TestTransport:
         assert len(server.requests) == sum(row.inference_calls for row in report.rows)
         assert server.connections == 4
         assert wait_for(lambda: server.closed == 4)
+
+
+ANSWER_B = b'{"completions": ["Passage B"]}'
+
+
+def reply(*head_lines, body=ANSWER_B):
+    """A verbatim reply: status line, header lines, blank line, body."""
+    return b"".join(line + b"\r\n" for line in head_lines) + b"\r\n" + body
+
+
+def content_length(body=ANSWER_B):
+    return b"Content-Length: %d" % len(body)
+
+
+class TestReplyFraming:
+    """Replies framed by chunks, by their length or by the close, and the caps
+    on a reply head."""
+
+    def ask(self, oracle):
+        return oracle.compare(ComparisonRequest("dA", "dB"))
+
+    def test_chunked_body_parses_and_keeps_the_connection(self, server):
+        chunks = b"5;ext=1\r\n" + ANSWER_B[:5] + b"\r\n"
+        chunks += b"%x\r\n" % len(ANSWER_B[5:]) + ANSWER_B[5:] + b"\r\n"
+        chunks += b"0\r\nX-Trailer: t\r\n\r\n"
+        server.responses.append(
+            reply(b"HTTP/1.1 200 OK", b"Transfer-Encoding: chunked", body=chunks)
+        )
+        with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:
+            assert self.ask(oracle) == Preference.SECOND
+            assert self.ask(oracle) == Preference.FIRST
+        assert server.connections == 1
+
+    def test_close_delimited_body_parses_and_the_next_call_reconnects(self, server):
+        server.close_after_reply = True
+        server.responses.append(reply(b"HTTP/1.1 200 OK", b"Content-Type: application/json"))
+        with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:
+            assert self.ask(oracle) == Preference.SECOND
+            assert self.ask(oracle) == Preference.FIRST
+        assert len(server.requests) == 2
+        assert server.connections == 2
+
+    def test_connection_close_reply_is_not_reused_and_costs_no_retry(self, server):
+        # The server keeps the connection open; only the header says to close.
+        server.responses.append(
+            reply(b"HTTP/1.1 200 OK", b"Connection: close", content_length())
+        )
+        with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:
+            assert self.ask(oracle) == Preference.SECOND
+            assert wait_for(lambda: server.closed == 1)
+            assert self.ask(oracle) == Preference.FIRST
+        assert len(server.requests) == 2
+        assert server.connections == 2
+
+    def test_bytes_past_the_end_of_a_reply_are_not_read_as_the_next_reply(self, server):
+        server.responses.append(
+            reply(b"HTTP/1.1 200 OK", content_length())
+            + b"HTTP/1.1 408 Request Timeout\r\nContent-Length: 0\r\n\r\n"
+        )
+        with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:
+            assert self.ask(oracle) == Preference.SECOND
+            assert self.ask(oracle) == Preference.FIRST
+        assert server.connections == 2
+
+    def test_body_cut_short_by_a_close_is_retried_then_fails(self, server):
+        server.close_after_reply = True
+        short = reply(b"HTTP/1.1 200 OK", content_length(), body=ANSWER_B[:7])
+        server.responses.extend([short, short])
+        endpoint = replace(endpoint_for(server), retries=1)
+        with pytest.raises(BackendFailure, match="body ended after 7 of"):
+            llm_compare_batch(endpoint, ["p1"])
+        assert len(server.requests) == 2
+        assert server.connections == 2
+
+    @pytest.mark.parametrize(
+        "head, error",
+        [
+            ((b"HTTP/1.1 2OO OK", content_length()), "bad status line"),
+            ((b"HTTP/1.1 200 OK", b"X-Long: " + b"a" * 65536, content_length()), "longer than"),
+            ((b"HTTP/1.1 200 OK", *[b"X-Many: 1"] * 100, content_length()), "more than 100"),
+        ],
+        ids=["bad-status-line", "long-header-line", "101-header-lines"],
+    )
+    def test_malformed_reply_head_is_a_backend_failure(self, server, head, error):
+        server.responses.append(reply(*head))
+        with pytest.raises(BackendFailure, match=error):
+            llm_compare_batch(endpoint_for(server), ["p1"])
+
+    def test_100_header_lines_parse(self, server):
+        server.responses.append(reply(b"HTTP/1.1 200 OK", *[b"X-Many: 1"] * 99, content_length()))
+        assert llm_compare_batch(endpoint_for(server), ["p1"]) == [Preference.SECOND]
 
 
 def query_text(qid):
@@ -334,12 +436,13 @@ class TestCellPool:
             AlgoConfig(Algorithm.QUICKSORT, k=3, batch_size=4),
         ]
         config = pool_config(server, tmp_path, queries=5, n=7, algorithms=algorithms)
-        assert experiment.LLM_CONCURRENCY == 4
+        pooled = experiment.LLM_CONCURRENCY
+        assert pooled > 1
         rows, outputs = {}, {}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # many thread switches inside every cell
         try:
-            for workers in (4, 1):
+            for workers in (pooled, 1):
                 monkeypatch.setattr(experiment, "LLM_CONCURRENCY", workers)
                 report = run_experiment(config)
                 rows[workers] = report.rows
@@ -349,25 +452,26 @@ class TestCellPool:
                     outputs[workers, out_format] = path.read_bytes()
         finally:
             sys.setswitchinterval(interval)
-        assert [row.status for row in rows[4]] == ["ok"] * 15
-        assert rows[4] == rows[1]
-        assert [(row.algorithm, row.query_id) for row in rows[4]] == [
+        assert [row.status for row in rows[pooled]] == ["ok"] * 15
+        assert rows[pooled] == rows[1]
+        assert [(row.algorithm, row.query_id) for row in rows[pooled]] == [
             (algo.label(), f"q{q}") for algo in algorithms for q in range(5)
         ]
         for out_format in ("csv", "jsonl"):
-            assert outputs[4, out_format] == outputs[1, out_format]
+            assert outputs[pooled, out_format] == outputs[1, out_format]
 
-    def test_four_cells_in_flight_each_on_its_own_connection(self, server, tmp_path):
+    def test_a_full_pool_of_cells_in_flight_each_on_its_own_connection(self, server, tmp_path):
         server.delay_s = 0.05
+        cells = experiment.LLM_CONCURRENCY + 2
         config = pool_config(
-            server, tmp_path, queries=6, n=3, algorithms=[AlgoConfig(Algorithm.HEAPSORT, k=1)]
+            server, tmp_path, queries=cells, n=3, algorithms=[AlgoConfig(Algorithm.HEAPSORT, k=1)]
         )
         report = run_experiment(config)
-        assert [row.status for row in report.rows] == ["ok"] * 6
-        assert server.peak_in_flight == 4
+        assert [row.status for row in report.rows] == ["ok"] * cells
+        assert server.peak_in_flight == experiment.LLM_CONCURRENCY
         assert len(server.requests) == sum(row.inference_calls for row in report.rows)
-        assert wait_for(lambda: server.closed == 6)
-        assert server.connections == 6
+        assert wait_for(lambda: server.closed == cells)
+        assert server.connections == cells
 
     def test_backend_failure_fails_only_its_own_cells(self, server, tmp_path):
         server.reply_for = lambda payload: (
@@ -386,15 +490,19 @@ class TestCellPool:
         assert server.connections == 12
 
     def run_failing_first_cell(self, server, tmp_path, monkeypatch, fail, events):
-        """Run a 9-cell sweep in which the first cell calls ``fail`` after its
-        algorithm, while the other cells that started keep running a while.
+        """Run a sweep of LLM_CONCURRENCY + 5 cells in which the first cell
+        calls ``fail`` after its algorithm, once a full pool of cells has
+        started, while the other cells that started keep running a while.
         Every cell logs (event, query) pairs to ``events``."""
         real_run_algorithm = experiment.run_algorithm
+        pool = experiment.LLM_CONCURRENCY
 
         def run_algorithm(docs, cell, oracle):
             events.append(("start", oracle.query))
             result = real_run_algorithm(docs, cell, oracle)
             if oracle.query == query_text("q0"):
+                # A fast first cell could end before the other workers start.
+                assert wait_for(lambda: sum(kind == "start" for kind, _ in events) == pool)
                 events.append(("fail", oracle.query))
                 fail()
                 time.sleep(0.3)  # unless fail() raised, the longest-running cell
@@ -405,7 +513,11 @@ class TestCellPool:
 
         monkeypatch.setattr(experiment, "run_algorithm", run_algorithm)
         config = pool_config(
-            server, tmp_path, queries=9, n=4, algorithms=[AlgoConfig(Algorithm.HEAPSORT, k=2)]
+            server,
+            tmp_path,
+            queries=pool + 5,
+            n=4,
+            algorithms=[AlgoConfig(Algorithm.HEAPSORT, k=2)],
         )
         run_experiment(config)
 
@@ -414,7 +526,7 @@ class TestCellPool:
         started = [query for kind, query in events if kind == "start"]
         ended = [query for kind, query in events if kind == "end"]
         assert all(kind != "start" for kind, _ in events[failed:])
-        assert set(started) <= {query_text(f"q{q}") for q in range(4)}
+        assert set(started) <= {query_text(f"q{q}") for q in range(experiment.LLM_CONCURRENCY)}
         # Every cell that started and did not raise ran to its end before the
         # sweep stopped.
         assert sorted(ended) == sorted(set(started) - raised)
@@ -434,10 +546,15 @@ class TestCellPool:
         def fail():  # Ctrl-C, as a terminal delivers it
             signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
 
-        assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+        # A shell starts a background job with SIGINT ignored; Ctrl-C from a
+        # terminal raises KeyboardInterrupt, so this test installs that handler.
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
         events = []
-        with pytest.raises(KeyboardInterrupt):
-            self.run_failing_first_cell(server, tmp_path, monkeypatch, fail, events)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                self.run_failing_first_cell(server, tmp_path, monkeypatch, fail, events)
+        finally:
+            signal.signal(signal.SIGINT, previous)
         self.check_stopped(server, events, raised=set())
 
     @pytest.mark.parametrize("kind", ["score", "noisy"])
