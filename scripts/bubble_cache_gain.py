@@ -47,7 +47,7 @@ def main() -> int:
         oracle = (
             OracleSpec(kind="score")
             if flip == 0.0
-            else OracleSpec(kind="noisy", flip_probability=flip, seed=args.seed)
+            else OracleSpec(kind="noisy", flip_probability=flip)
         )
         config = ExperimentConfig(
             dataset=SyntheticSpec(num_queries=args.queries, n=args.n),

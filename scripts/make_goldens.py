@@ -1,16 +1,25 @@
 #!/usr/bin/env python3
-"""Regenerate the committed golden cost-model values.
+"""Regenerate the committed golden aggregates.
 
-Runs the reference sweep (configs/cost_model.json: 200 synthetic queries,
-n=100, k=10, deterministic score oracle) and freezes every aggregate into
-tests/golden/cost_model.json. The acceptance suite asserts exact equality
-against this file, so regenerating it is only legitimate when the cost
-accounting itself intentionally changes.
+Runs each golden sweep and freezes every aggregate into its file under
+tests/golden/:
+
+* cost_model.json: the reference sweep (configs/cost_model.json: 200
+  synthetic queries, n=100, k=10, deterministic score oracle);
+* pivot_benchmark_noisy.json: the first 40 queries of
+  configs/pivot_benchmark_noisy.json (flip probability 0.15). Query ids and
+  per-query seeds do not depend on the query count, so these are the full
+  sweep's first 40 queries. Its rankings depend on which pairs each sorter
+  asks.
+
+The test suite asserts exact equality against these files, so regenerating
+them is only legitimate when the cost accounting or the pairs the sorters
+ask intentionally change.
 """
 
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -18,31 +27,39 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from prp_sort import load_config, run_experiment  # noqa: E402
 
-CONFIG = ROOT / "configs" / "cost_model.json"
-GOLDEN = ROOT / "tests" / "golden" / "cost_model.json"
+# (config, number of queries to run, or None for the config's own)
+GOLDENS = [("cost_model.json", None), ("pivot_benchmark_noisy.json", 40)]
 
 
-def main() -> int:
-    config = load_config(str(CONFIG))
-    report = run_experiment(config)
+def write_golden(name: str, queries: int | None) -> None:
+    source = ROOT / "configs" / name
+    golden = ROOT / "tests" / "golden" / name
+    config = load_config(str(source))
+    if queries is not None:
+        config = replace(config, dataset=replace(config.dataset, num_queries=queries))
     aggregates = {}
-    for agg in report.aggregates:
+    for agg in run_experiment(config).aggregates:
         record = asdict(agg)
         record.pop("algorithm")
         aggregates[agg.algorithm] = record
-    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "source_config": str(CONFIG.relative_to(ROOT)),
-        "aggregates": aggregates,
-    }
-    GOLDEN.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {GOLDEN.relative_to(ROOT)}")
+    payload = {"source_config": str(source.relative_to(ROOT))}
+    if queries is not None:
+        payload["queries"] = queries
+    payload["aggregates"] = aggregates
+    golden.parent.mkdir(parents=True, exist_ok=True)
+    golden.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {golden.relative_to(ROOT)}")
     for label, record in aggregates.items():
         print(
             f"  {label:42s} comp={record['mean_comparisons']:8.2f} "
             f"inf={record['mean_inference_calls']:8.2f} "
             f"gain={record['gain_pct'] if record['gain_pct'] is not None else '-'}"
         )
+
+
+def main() -> int:
+    for name, queries in GOLDENS:
+        write_golden(name, queries)
     return 0
 
 

@@ -103,8 +103,8 @@ class AlgoConfig:
     def baseline(self) -> AlgoConfig | None:
         """The variant this one's gain is measured against, at the same k:
         heapsort for Quicksort, classic for cached Bubblesort, else None.
-        Match it by ``label()`` and ``k``; the label leaves out the fields
-        an algorithm does not read."""
+        A sweep has one k, so match it by ``label()``, which leaves out the
+        fields an algorithm does not read."""
         if self.algorithm is Algorithm.QUICKSORT:
             return AlgoConfig(Algorithm.HEAPSORT, k=self.k)
         if self.use_cache:

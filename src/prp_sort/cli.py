@@ -73,10 +73,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raw["algorithms"] = [{"algorithm": args.algo, **overrides}]
     elif overrides:
         raise InvalidConfig("--batch-size, --pivot, --cache and --partial need --algo")
-    config = config_from_dict(raw)
     if args.k is not None:
-        algorithms = [replace(algo, k=args.k) for algo in config.algorithms]
-        config = replace(config, k=args.k, algorithms=algorithms)
+        raw["k"] = args.k
+    config = config_from_dict(raw)
     settings = {"master_seed": args.seed, "out_format": args.format, "out_path": args.out}
     config = replace(config, **{key: value for key, value in settings.items() if value is not None})
     report = run_experiment(config)

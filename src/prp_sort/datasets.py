@@ -28,11 +28,11 @@ class Query:
 
 @dataclass
 class Dataset:
-    """Queries plus judgments and (synthetic mode) ground truth."""
+    """Queries plus judgments and the ground-truth scores per query and doc."""
 
     queries: list[Query]
     grades: RelevanceMap
-    ground_truth_scores: dict[str, dict[DocId, float]] | None = None
+    ground_truth_scores: dict[str, dict[DocId, float]]
 
 
 def load_run_file(path: str, depth: int = 100) -> list[Query]:

@@ -63,12 +63,11 @@ class FileSource:
 
 @dataclass(frozen=True)
 class OracleSpec:
-    """Which judge answers the comparisons. Checked on construction, like
-    ``ExperimentConfig``."""
+    """Which judge answers the comparisons; the noisy judge's flips are keyed
+    on the sweep's seed. Checked on construction, like ``ExperimentConfig``."""
 
     kind: str = "score"  # score | noisy | llm
     flip_probability: float = 0.0
-    seed: int = 0
     endpoint: LlmEndpoint | None = None
 
     def __post_init__(self) -> None:
@@ -82,10 +81,10 @@ class OracleSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep: dataset, algorithm matrix, oracle, run-level k and seed, and
-    output. The checks run on construction, so an invalid config (also one
-    made with ``dataclasses.replace``) cannot exist; the matrix is stored as
-    a tuple, so it cannot be changed in place either."""
+    """One sweep: dataset, algorithm matrix, oracle, k, seed and output; every
+    entry has the sweep's k. The checks run on construction, so an invalid
+    config (also one made with ``dataclasses.replace``) cannot exist; the
+    matrix is stored as a tuple, so it cannot be changed in place either."""
 
     dataset: SyntheticSpec | FileSource
     algorithms: Sequence[AlgoConfig]
@@ -99,6 +98,9 @@ class ExperimentConfig:
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         if self.k < 1:
             raise InvalidConfig(f"k must be >= 1, got {self.k}")
+        stray = sorted({algo.k for algo in self.algorithms} - {self.k})
+        if stray:
+            raise InvalidConfig(f"algorithm entries have k {stray}; the sweep's k is {self.k}")
         if not self.algorithms:
             raise InvalidConfig("the algorithm matrix is empty")
         if self.out_format not in ("csv", "jsonl"):
@@ -180,19 +182,17 @@ _SECTIONS: dict[str, dict[str, type]] = {
         "dataset": dict, "algorithms": list, "oracle": dict,
         "k": int, "seed": int, "output": dict,
     },
-    "dataset": {
-        "synthetic": dict, "run": str, "qrels": str,
-        "queries": str, "passages": str, "depth": int,
-    },
+    "synthetic dataset": {"synthetic": dict},
     "dataset.synthetic": {"queries": int, "n": int},
-    "oracle": {"kind": str, "flip_probability": float, "seed": int, "endpoint": dict},
+    "file dataset": {"run": str, "qrels": str, "queries": str, "passages": str, "depth": int},
+    "oracle": {"kind": str, "flip_probability": float, "endpoint": dict},
     "oracle.endpoint": {
         "url": str, "model": str, "api_key_env": str,
         "timeout_s": float, "prompt_template": str, "retries": int,
     },
     "output": {"path": str, "format": str},
     "algorithm entry": {
-        "algorithm": Algorithm, "k": int, "batch_size": int,
+        "algorithm": Algorithm, "batch_size": int,
         "use_cache": bool, "pivot": PivotStrategy, "partial": bool,
     },
 }
@@ -236,28 +236,28 @@ def _section(raw: Any, where: str, required: Sequence[str] = (), **names: str) -
 def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON config document."""
     top = _section(raw, "config", ["dataset", "algorithms"], seed="master_seed")
-    dataset_raw = top.pop("dataset")
-    synthetic = "synthetic" in dataset_raw
-    if synthetic == ("run" in dataset_raw):
+    dataset = top.pop("dataset")
+    if ("synthetic" in dataset) == ("run" in dataset):
         raise InvalidConfig("dataset must carry either a 'synthetic' spec or 'run'+'qrels' paths")
-    dataset = _section(
-        dataset_raw,
-        "dataset",
-        ["synthetic"] if synthetic else ["run", "qrels"],
-        run="run_path",
-        qrels="qrels_path",
-        queries="queries_path",
-        passages="passages_path",
-    )
-    if synthetic:
-        spec = _section(dataset["synthetic"], "dataset.synthetic", ["queries", "n"])
+    if "synthetic" in dataset:
+        synthetic = _section(dataset, "synthetic dataset", ["synthetic"])["synthetic"]
+        spec = _section(synthetic, "dataset.synthetic", ["queries", "n"])
         source: SyntheticSpec | FileSource = SyntheticSpec(spec["queries"], spec["n"])
     else:
-        source = FileSource(**dataset)
-    # An algorithm entry without its own k takes the run's.
-    inherited = {"k": top["k"]} if "k" in top else {}
+        paths = _section(
+            dataset,
+            "file dataset",
+            ["run", "qrels"],
+            run="run_path",
+            qrels="qrels_path",
+            queries="queries_path",
+            passages="passages_path",
+        )
+        source = FileSource(**paths)
+    # Every algorithm entry runs at the sweep's k.
+    k = top.get("k", ExperimentConfig.k)
     algorithms = [
-        AlgoConfig(**{**inherited, **_section(entry, "algorithm entry", ["algorithm"])})
+        AlgoConfig(**_section(entry, "algorithm entry", ["algorithm"]), k=k)
         for entry in top.pop("algorithms")
     ]
     oracle = _section(top.pop("oracle", {}), "oracle")
@@ -302,9 +302,8 @@ def _load_dataset(config: ExperimentConfig) -> Dataset:
             query.candidates = [
                 replace(c, text=passages.get(c.doc)) for c in query.candidates
             ]
-    dataset = Dataset(queries=queries, grades=grades, ground_truth_scores=None)
     if config.oracle.kind == "llm":
-        for query in dataset.queries:
+        for query in queries:
             if query.text is None:
                 raise InvalidConfig(
                     f"llm oracle requires query text; none found for {query.qid!r} "
@@ -316,26 +315,25 @@ def _load_dataset(config: ExperimentConfig) -> Dataset:
                         f"llm oracle requires passage text; none found for {cand.doc!r} "
                         "(provide dataset.passages TSV)"
                     )
-    return dataset
+    # The ground truth is the qrels grades, with unjudged candidates at 0.0;
+    # the score oracle breaks exact ties lexicographically.
+    truth = {
+        q.qid: {c.doc: float(grades.grade(q.qid, c.doc)) for c in q.candidates} for q in queries
+    }
+    return Dataset(queries, grades, truth)
 
 
 def _build_oracle(config: ExperimentConfig, dataset: Dataset, query) -> Oracle:
     kind = config.oracle.kind
     if kind == "llm":
         return LlmOracle(config.oracle.endpoint, query.text, query.candidates)
-    if dataset.ground_truth_scores is not None:
-        scores = dataset.ground_truth_scores[query.qid]
-    else:
-        # File mode ground truth: qrels grades, with unjudged candidates at
-        # 0.0 and exact ties broken lexicographically by the oracle itself.
-        scores = {c.doc: float(dataset.grades.grade(query.qid, c.doc)) for c in query.candidates}
-    base = ScoreOracle(scores)
+    base = ScoreOracle(dataset.ground_truth_scores[query.qid])
     if kind == "score":
         return base
     return NoisyOracle(
         base,
         config.oracle.flip_probability,
-        stable_seed("noise", config.oracle.seed, query.qid),
+        stable_seed("noise", config.master_seed, query.qid),
     )
 
 
@@ -456,8 +454,8 @@ def compute_aggregates(rows: list[QueryRow]) -> list[AggregateRow]:
     """Aggregate per-query rows per algorithm label, in first-seen order.
 
     A row group whose config names a ``baseline()`` gets the percentage gain
-    in mean inference calls over that baseline's group, when the baseline is
-    present with the same k: positive when the group needs fewer calls.
+    in mean inference calls over the group with that baseline's label, when
+    it is present: positive when the group needs fewer calls.
     """
     groups: dict[str, list[QueryRow]] = {}
     for row in rows:
@@ -493,7 +491,6 @@ def compute_aggregates(rows: list[QueryRow]) -> list[AggregateRow]:
         baseline = by_label.get(wanted.label()) if wanted is not None else None
         if (
             baseline is not None
-            and baseline.k == wanted.k
             and baseline.mean_inference_calls
             and agg.mean_inference_calls is not None
         ):

@@ -5,8 +5,9 @@ connections it accepted and the ones that ended. Tests queue replies in
 ``server.responses``: a ``(status, body)`` pair, where body is a JSON value,
 raw bytes, a function of the request payload or None for "Passage A" to
 every prompt; bytes, sent verbatim as the whole reply, after which the
-connection stays open as for any other reply; or ``"drop"``, which closes the
-connection without replying.
+connection stays open as for any other reply; ``"drop"``, which closes the
+connection without replying; or ``"reset"``, which resets it without
+replying.
 With ``server.close_after_reply`` set, every reply is followed by a close
 that the reply does not announce, as an idle timeout would do. With
 ``server.goodbye`` set to bytes, the server sends them unasked a moment after
@@ -16,15 +17,28 @@ result is the reply to every request, in place of the queue, so a test can
 key replies on what a request asks rather than on when it arrives. Every
 request is held for ``server.delay_s`` seconds before its reply, and
 ``server.peak_in_flight`` records the most requests served at once.
+
+Parametrized indirectly with ``"tls"``, the server speaks HTTPS with the
+self-signed ``localhost`` certificate in ``tests/tls`` (``TLS_CERT``), its
+URL names the host ``localhost``, and ``server.sni_names`` records the host
+name each client sent in its TLS hello.
 """
 
 import json
+import socket
+import ssl
+import struct
 import threading
 import time
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
+
+# A self-signed certificate for DNS:localhost, valid until 2126.
+TLS_CERT = Path(__file__).parent / "tls" / "localhost.crt"
+TLS_KEY = Path(__file__).parent / "tls" / "localhost.key"
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -68,7 +82,12 @@ class _Handler(BaseHTTPRequestHandler):
                 self.server.in_flight -= 1
 
     def _reply(self, payload, reply):
-        if reply == "drop":
+        if reply in ("drop", "reset"):
+            if reply == "reset":  # a close with no linger time sends RST, not FIN
+                self.connection.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+                self.connection.close()
             self.close_connection = True
             return
         if isinstance(reply, bytes):
@@ -117,8 +136,16 @@ class _Backend(ThreadingHTTPServer):
     daemon_threads = True
     request_queue_size = 32  # every cell of a full pool connects at once
 
-    def __init__(self):
+    def __init__(self, tls: bool = False):
         super().__init__(("127.0.0.1", 0), _Handler)
+        self.scheme, self.host = "http", "127.0.0.1"
+        self.sni_names: list[str | None] = []
+        if tls:
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(TLS_CERT, TLS_KEY)
+            context.sni_callback = lambda sock, name, ctx: self.sni_names.append(name)
+            self.socket = context.wrap_socket(self.socket, server_side=True)
+            self.scheme, self.host = "https", "localhost"
         self.lock = threading.Lock()
         self.requests: list[dict] = []
         self.responses: list = []
@@ -134,12 +161,12 @@ class _Backend(ThreadingHTTPServer):
 
     @property
     def url(self) -> str:
-        return f"http://127.0.0.1:{self.server_address[1]}/complete"
+        return f"{self.scheme}://{self.host}:{self.server_address[1]}/complete"
 
 
 @pytest.fixture
-def server():
-    httpd = _Backend()
+def server(request):
+    httpd = _Backend(tls=getattr(request, "param", None) == "tls")
     thread = threading.Thread(
         target=httpd.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
     )

@@ -134,8 +134,8 @@ class TestRun:
             '{"dataset": ',
             '[{"algorithm": "heapsort"}]',
             '{"dataset": {"synthetic": {"queries": 2}}, "algorithms": [{"algorithm": "heapsort"}]}',
-            '{"dataset": {"synthetic": {"queries": 2, "n": 8}},'
-            ' "algorithms": [{"algorithm": "heapsort", "k": "ten"}]}',
+            '{"dataset": {"synthetic": {"queries": 2, "n": 8}}, "k": "ten",'
+            ' "algorithms": [{"algorithm": "heapsort"}]}',
             LLM_CONFIG.replace('"retries": 0', '"timeout_s": -1'),
             LLM_CONFIG.replace('"retries": 0', '"timeout_s": 0'),
             LLM_CONFIG.replace('"retries": 0', '"retries": -1'),
@@ -147,6 +147,11 @@ class TestRun:
             '{"dataset": {"synthetic": {"queries": 2, "n": 8}}, "sed": 5,'
             ' "algorithms": [{"algorithm": "heapsort"}]}',
             '{"dataset": {"synthetic": {"queries": 2, "n": 8}, "run": "run.txt", "qrels": "q.txt"},'
+            ' "algorithms": [{"algorithm": "heapsort"}]}',
+            '{"dataset": {"synthetic": {"queries": 2, "n": 8}}, "k": 3,'
+            ' "algorithms": [{"algorithm": "heapsort", "k": 3}]}',
+            '{"dataset": {"synthetic": {"queries": 2, "n": 8}}, "seed": 5,'
+            ' "oracle": {"kind": "noisy", "flip_probability": 0.1, "seed": 5},'
             ' "algorithms": [{"algorithm": "heapsort"}]}',
         ],
         ids=[
@@ -163,6 +168,8 @@ class TestRun:
             "misspelt-oracle-key",
             "misspelt-top-level-key",
             "both-dataset-kinds",
+            "algorithm-entry-k",
+            "oracle-seed",
         ],
     )
     def test_malformed_config_file_exits_nonzero(self, tmp_path, capsys, text):

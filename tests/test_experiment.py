@@ -120,17 +120,16 @@ class TestRunExperiment:
         assert by_label[quick.label()].baseline == "heapsort"
         assert by_label[quick.label()].gain_pct is not None
 
-    def test_no_gain_against_a_baseline_at_another_k(self):
+    def test_entry_at_another_k_rejected(self):
+        # A sweep has one k: an entry at another would be scored by NDCG at
+        # the sweep's k and would hide its row's baseline.
         algorithms = [
             AlgoConfig(Algorithm.HEAPSORT, k=3),
             AlgoConfig(Algorithm.QUICKSORT, k=4, batch_size=2),
-            AlgoConfig(Algorithm.BUBBLESORT, k=3),
-            AlgoConfig(Algorithm.BUBBLESORT, k=4, use_cache=True),
         ]
-        report = run_experiment(small_config(algorithms=algorithms))
-        for agg in report.aggregates:
-            assert agg.baseline is None
-            assert agg.gain_pct is None
+        message = r"algorithm entries have k \[3\]; the sweep's k is 4"
+        with pytest.raises(InvalidConfig, match=message):
+            small_config(algorithms=algorithms)
 
     def test_aggregates_match_rows(self):
         report = run_experiment(small_config())
@@ -222,6 +221,7 @@ class TestRunExperiment:
                 endpoint=LlmEndpoint(url="http://127.0.0.1:9/dead", retries=0, timeout_s=0.3),
             ),
             algorithms=[AlgoConfig(Algorithm.HEAPSORT, k=2)],
+            k=2,
         )
         report = run_experiment(config)
         assert all(r.status == "failed" for r in report.rows)
@@ -258,7 +258,7 @@ class TestRunExperiment:
             small_config(dataset=files, oracle=OracleSpec(kind="llm"))
 
     def test_noisy_oracle_changes_outcomes_but_stays_deterministic(self):
-        noisy = small_config(oracle=OracleSpec(kind="noisy", flip_probability=0.3, seed=4))
+        noisy = small_config(oracle=OracleSpec(kind="noisy", flip_probability=0.3))
         first = run_experiment(noisy)
         second = run_experiment(noisy)
         assert first == second
@@ -270,7 +270,7 @@ class TestConfigParsing:
     def test_round_trip_from_dict(self):
         raw = {
             "dataset": {"synthetic": {"queries": 2, "n": 6}},
-            "oracle": {"kind": "noisy", "flip_probability": 0.1, "seed": 3},
+            "oracle": {"kind": "noisy", "flip_probability": 0.1},
             "k": 3,
             "seed": 11,
             "algorithms": [
@@ -288,7 +288,7 @@ class TestConfigParsing:
             "quicksort (random, b=8)",
             "bubblesort (cached)",
         ]
-        assert config.algorithms[0].k == 3  # inherits the run's k
+        assert {a.k for a in config.algorithms} == {3}  # every entry takes the sweep's k
         assert config.out_path == "out.csv"
 
     def test_load_config_from_file(self, tmp_path):
@@ -357,18 +357,20 @@ class TestConfigParsing:
             )
 
     def test_entries_sharing_a_label_rejected(self):
-        # Labels omit k, so these two entries would merge into one aggregate.
+        # Labels omit the fields heapsort does not read, so these two entries
+        # would merge into one aggregate.
         with pytest.raises(InvalidConfig, match="heapsort"):
             config_from_dict(
                 {
                     "dataset": {"synthetic": {"queries": 3, "n": 12}},
                     "algorithms": [
-                        {"algorithm": "heapsort", "k": 3},
-                        {"algorithm": "heapsort", "k": 10},
+                        {"algorithm": "heapsort"},
+                        {"algorithm": "heapsort", "pivot": "random"},
                     ],
                 }
             )
-        twins = [AlgoConfig(Algorithm.HEAPSORT, k=3), AlgoConfig(Algorithm.HEAPSORT, k=10)]
+        heap = AlgoConfig(Algorithm.HEAPSORT, k=4)
+        twins = [heap, replace(heap, partial=False)]
         with pytest.raises(InvalidConfig, match="heapsort"):
             small_config(algorithms=twins)
 
@@ -376,8 +378,8 @@ class TestConfigParsing:
         "path, value, named",
         [
             (("dataset", "synthetic"), {"queries": 2}, "'n'"),
-            (("algorithms", 0, "k"), "ten", "'k'"),
-            (("algorithms", 0, "k"), True, "'k'"),
+            (("k",), "ten", "'k' must be an integer"),
+            (("k",), True, "'k' must be an integer"),
             (("algorithms", 1, "batch_size"), 2.5, "'batch_size'"),
             (("algorithms", 2, "use_cache"), "false", "'use_cache'"),
             (("algorithms", 1, "partial"), "no", "'partial'"),
@@ -389,6 +391,10 @@ class TestConfigParsing:
             (("dataset",), {"qrels": "qrels.txt"}, "either"),
             (("algorithms", 0, "algorithm"), ["heapsort"], "'algorithm'"),
             (("oracle", "endpoint"), {"model": "m"}, "'url'"),
+            (("dataset", "depth"), 3, r"unknown synthetic dataset keys: \['depth'\]"),
+            (("dataset", "passages"), "x.tsv", r"unknown synthetic dataset keys: \['passages'\]"),
+            (("algorithms", 0, "k"), 3, r"unknown algorithm entry keys: \['k'\]"),
+            (("oracle", "seed"), 3, r"unknown oracle keys: \['seed'\]"),
         ],
     )
     def test_malformed_value_rejected(self, path, value, named):
@@ -447,6 +453,8 @@ class TestConfigParsing:
             replace(small_config(), out_format="xml")
         with pytest.raises(InvalidConfig, match="k must be"):
             replace(small_config(), k=0)
+        with pytest.raises(InvalidConfig, match="the sweep's k is 5"):
+            replace(small_config(), k=5)
         with pytest.raises(InvalidConfig, match="matrix"):
             replace(small_config(), algorithms=[])
 

@@ -25,6 +25,7 @@ from prp_sort import (
 from prp_sort import experiment
 from prp_sort.experiment import ExperimentConfig, FileSource, OracleSpec, SyntheticSpec
 from prp_sort.oracles import LlmOracle
+from conftest import TLS_CERT
 
 
 def endpoint_for(server, **kwargs):
@@ -221,23 +222,34 @@ class TestTransport:
         assert len(server.requests) == 3
         assert server.connections == 3
 
-    def test_request_dropped_on_a_reused_connection_is_resent_once(self, server):
-        server.responses.extend([(200, None), "drop"])
+    @pytest.mark.parametrize("drop", ["drop", "reset"])
+    def test_request_dropped_on_a_reused_connection_is_resent_once(self, server, drop):
+        server.responses.extend([(200, None), drop])
         with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:
             assert self.ask(oracle, 2) == [Preference.FIRST] * 2
             assert len(server.requests) == 3
             assert server.connections == 2
             # The resend is on a fresh connection; a drop there is a failure
             # at retries=0.
-            server.responses.extend(["drop", "drop"])
+            server.responses.extend([drop, drop])
             with pytest.raises(BackendFailure, match="failed"):
                 self.ask(oracle)
         assert server.connections == 3
 
-    def test_call_after_an_http_error_reuses_the_connection(self, server):
-        server.responses.append((500, {"error": "boom"}))
+    @pytest.mark.parametrize(
+        "response, error",
+        [
+            ((500, {"error": "boom"}), "HTTP 500"),
+            # No body follows a 204, whatever its headers say; reading to the
+            # close instead would wait out timeout_s.
+            (b"HTTP/1.1 204 No Content\r\n\r\n", "HTTP 204"),
+        ],
+        ids=["500", "204"],
+    )
+    def test_call_after_an_http_error_reuses_the_connection(self, server, response, error):
+        server.responses.append(response)
         with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:
-            with pytest.raises(BackendFailure, match="HTTP 500"):
+            with pytest.raises(BackendFailure, match=error):
                 self.ask(oracle)
             assert self.ask(oracle) == [Preference.FIRST]
         assert server.connections == 1
@@ -269,6 +281,30 @@ class TestTransport:
         with pytest.raises(BackendFailure, match="502"):
             llm_compare_batch(endpoint, ["p1"])
         assert server.requests == [{"method": "CONNECT", "target": "backend.invalid:443"}]
+
+    @pytest.mark.parametrize("server", ["tls"], indirect=True)
+    def test_https_rejects_an_untrusted_certificate(self, server, monkeypatch):
+        clear_proxies(monkeypatch)
+        with pytest.raises(BackendFailure, match="CERTIFICATE_VERIFY_FAILED"):
+            llm_compare_batch(endpoint_for(server), ["p1"])
+        assert server.requests == []
+
+    @pytest.mark.parametrize("server", ["tls"], indirect=True)
+    def test_https_answers_over_a_trusted_certificate_and_sends_sni(self, server, monkeypatch):
+        clear_proxies(monkeypatch)
+        monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+        assert llm_compare_batch(endpoint_for(server), ["p1"]) == [Preference.FIRST]
+        assert server.sni_names == ["localhost"]
+
+    @pytest.mark.parametrize("server", ["tls"], indirect=True)
+    def test_https_checks_the_host_name(self, server, monkeypatch):
+        # The certificate names localhost, not the address it is reached at.
+        clear_proxies(monkeypatch)
+        monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+        endpoint = LlmEndpoint(url=f"https://127.0.0.1:{server.server_address[1]}/", retries=0)
+        with pytest.raises(BackendFailure, match=r"not valid for '127\.0\.0\.1'"):
+            llm_compare_batch(endpoint, ["p1"])
+        assert server.requests == []
 
     def test_run_experiment_opens_one_connection_per_cell_and_closes_it(
         self, server, tmp_path
@@ -311,6 +347,9 @@ def content_length(body=ANSWER_B):
     return b"Content-Length: %d" % len(body)
 
 
+CHUNKED = b"Transfer-Encoding: chunked"
+
+
 class TestReplyFraming:
     """Replies framed by chunks, by their length or by the close, and the caps
     on a reply head."""
@@ -322,9 +361,7 @@ class TestReplyFraming:
         chunks = b"5;ext=1\r\n" + ANSWER_B[:5] + b"\r\n"
         chunks += b"%x\r\n" % len(ANSWER_B[5:]) + ANSWER_B[5:] + b"\r\n"
         chunks += b"0\r\nX-Trailer: t\r\n\r\n"
-        server.responses.append(
-            reply(b"HTTP/1.1 200 OK", b"Transfer-Encoding: chunked", body=chunks)
-        )
+        server.responses.append(reply(b"HTTP/1.1 200 OK", CHUNKED, body=chunks))
         with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:
             assert self.ask(oracle) == Preference.SECOND
             assert self.ask(oracle) == Preference.FIRST
@@ -339,11 +376,17 @@ class TestReplyFraming:
         assert len(server.requests) == 2
         assert server.connections == 2
 
-    def test_connection_close_reply_is_not_reused_and_costs_no_retry(self, server):
-        # The server keeps the connection open; only the header says to close.
-        server.responses.append(
-            reply(b"HTTP/1.1 200 OK", b"Connection: close", content_length())
-        )
+    @pytest.mark.parametrize(
+        "head",
+        [
+            (b"HTTP/1.1 200 OK", b"Connection: close"),
+            (b"HTTP/1.0 200 OK",),  # HTTP/1.0 closes unless it asks to keep alive
+        ],
+        ids=["connection-close", "http-1.0"],
+    )
+    def test_connection_close_reply_is_not_reused_and_costs_no_retry(self, server, head):
+        # The server keeps the connection open; only the reply head says to close.
+        server.responses.append(reply(*head, content_length()))
         with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:
             assert self.ask(oracle) == Preference.SECOND
             assert wait_for(lambda: server.closed == 1)
@@ -372,16 +415,32 @@ class TestReplyFraming:
         assert server.connections == 2
 
     @pytest.mark.parametrize(
-        "head, error",
+        "response, error",
         [
-            ((b"HTTP/1.1 2OO OK", content_length()), "bad status line"),
-            ((b"HTTP/1.1 200 OK", b"X-Long: " + b"a" * 65536, content_length()), "longer than"),
-            ((b"HTTP/1.1 200 OK", *[b"X-Many: 1"] * 100, content_length()), "more than 100"),
+            (reply(b"HTTP/1.1 2OO OK", content_length()), "bad status line"),
+            (
+                reply(b"HTTP/1.1 200 OK", b"X-Long: " + b"a" * 65536, content_length()),
+                "longer than",
+            ),
+            (reply(b"HTTP/1.1 200 OK", *[b"X-Many: 1"] * 100, content_length()), "more than 100"),
+            (reply(b"HTTP/1.1 200 OK", CHUNKED, body=b"5x\r\n"), "bad chunk size line"),
+            (
+                reply(b"HTTP/1.1 200 OK", CHUNKED, body=b"2\r\nabc\r\n0\r\n\r\n"),
+                "chunk data not followed by a line end",
+            ),
+            (reply(b"HTTP/1.1 200 OK", b"Content-Length: 3x"), "bad Content-Length"),
         ],
-        ids=["bad-status-line", "long-header-line", "101-header-lines"],
+        ids=[
+            "bad-status-line",
+            "long-header-line",
+            "101-header-lines",
+            "bad-chunk-size-line",
+            "chunk-without-line-end",
+            "non-numeric-content-length",
+        ],
     )
-    def test_malformed_reply_head_is_a_backend_failure(self, server, head, error):
-        server.responses.append(reply(*head))
+    def test_malformed_reply_is_a_backend_failure(self, server, response, error):
+        server.responses.append(response)
         with pytest.raises(BackendFailure, match=error):
             llm_compare_batch(endpoint_for(server), ["p1"])
 
@@ -395,7 +454,8 @@ def query_text(qid):
 
 
 def pool_config(server, tmp_path, queries, n, algorithms):
-    """An llm sweep over ``queries`` generated queries of ``n`` passages each."""
+    """An llm sweep over ``queries`` generated queries of ``n`` passages each,
+    at the k of the ``algorithms``."""
     run, qrels, texts, passages = [], [], [], []
     for q in range(queries):
         qid = f"q{q}"
@@ -417,7 +477,7 @@ def pool_config(server, tmp_path, queries, n, algorithms):
         ),
         algorithms=algorithms,
         oracle=OracleSpec(kind="llm", endpoint=endpoint_for(server)),
-        k=3,
+        k=algorithms[0].k,
     )
 
 
@@ -567,5 +627,6 @@ class TestCellPool:
             dataset=SyntheticSpec(num_queries=6, n=8),
             algorithms=[AlgoConfig(Algorithm.HEAPSORT, k=3)],
             oracle=OracleSpec(kind=kind, flip_probability=0.1),
+            k=3,
         )
         assert [row.status for row in run_experiment(config).rows] == ["ok"] * 6
