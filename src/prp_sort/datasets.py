@@ -10,9 +10,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from random import Random
+from typing import Iterator
 
 from .errors import FormatError, InvalidConfig
-from .metrics import RelevanceMap
 from .model import Candidate, DocId
 from .seeding import stable_seed
 
@@ -28,11 +28,30 @@ class Query:
 
 @dataclass
 class Dataset:
-    """Queries plus judgments and the ground-truth scores per query and doc."""
+    """Queries plus judgments (query id -> doc id -> grade) and the
+    ground-truth scores per query and doc."""
 
     queries: list[Query]
-    grades: RelevanceMap
+    grades: dict[str, dict[DocId, int]]
     ground_truth_scores: dict[str, dict[DocId, float]]
+
+
+def _lines(path: str) -> Iterator[tuple[int, str]]:
+    """Yield (1-based line number, line without its newline) for each line of
+    ``path`` that holds more than whitespace."""
+    with open(path, encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.rstrip("\n")
+            if line.strip():
+                yield lineno, line
+
+
+def _columns(line: str, lineno: int, count: int) -> list[str]:
+    """Split a line on whitespace into exactly ``count`` columns."""
+    parts = line.split()
+    if len(parts) != count:
+        raise FormatError(f"expected {count} columns, found {len(parts)}", lineno)
+    return parts
 
 
 def load_run_file(path: str, depth: int = 100) -> list[Query]:
@@ -48,29 +67,22 @@ def load_run_file(path: str, depth: int = 100) -> list[Query]:
         raise InvalidConfig(f"depth must be >= 1, got {depth}")
     per_query: dict[str, list[tuple[int, Candidate]]] = {}
     seen: set[tuple[str, str]] = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise FormatError(f"expected 6 columns, found {len(parts)}", lineno)
-            qid, marker, doc, rank_text, score_text, _tag = parts
-            if marker != "Q0":
-                raise FormatError(f"expected literal 'Q0', found {marker!r}", lineno)
-            try:
-                rank = int(rank_text)
-            except ValueError:
-                raise FormatError(f"rank {rank_text!r} is not an integer", lineno) from None
-            try:
-                float(score_text)
-            except ValueError:
-                raise FormatError(f"score {score_text!r} is not a number", lineno) from None
-            if (qid, doc) in seen:
-                raise FormatError(f"duplicate candidate {doc!r} for query {qid!r}", lineno)
-            seen.add((qid, doc))
-            per_query.setdefault(qid, []).append((rank, Candidate(doc=doc)))
+    for lineno, line in _lines(path):
+        qid, marker, doc, rank_text, score_text, _tag = _columns(line, lineno, 6)
+        if marker != "Q0":
+            raise FormatError(f"expected literal 'Q0', found {marker!r}", lineno)
+        try:
+            rank = int(rank_text)
+        except ValueError:
+            raise FormatError(f"rank {rank_text!r} is not an integer", lineno) from None
+        try:
+            float(score_text)
+        except ValueError:
+            raise FormatError(f"score {score_text!r} is not a number", lineno) from None
+        if (qid, doc) in seen:
+            raise FormatError(f"duplicate candidate {doc!r} for query {qid!r}", lineno)
+        seen.add((qid, doc))
+        per_query.setdefault(qid, []).append((rank, Candidate(doc=doc)))
     queries = []
     for qid, ranked in per_query.items():
         ranked.sort(key=lambda entry: entry[0])
@@ -78,47 +90,35 @@ def load_run_file(path: str, depth: int = 100) -> list[Query]:
     return queries
 
 
-def load_qrels(path: str) -> RelevanceMap:
-    """Parse 4-column TREC qrels: qid iteration docid grade.
+def load_qrels(path: str) -> dict[str, dict[DocId, int]]:
+    """Parse 4-column TREC qrels (qid iteration docid grade) into
+    query id -> doc id -> grade.
 
     Grades must be integers; negative grades are clamped to 0 with a
     warning. A repeated (qid, docid) line overwrites the earlier grade.
     """
-    grades = RelevanceMap()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise FormatError(f"expected 4 columns, found {len(parts)}", lineno)
-            qid, _iteration, doc, grade_text = parts
-            try:
-                grade = int(grade_text)
-            except ValueError:
-                raise FormatError(f"grade {grade_text!r} is not an integer", lineno) from None
-            if grade < 0:
-                warnings.warn(
-                    f"{path}:{lineno}: negative grade {grade} clamped to 0", stacklevel=2
-                )
-                grade = 0
-            grades.by_query.setdefault(qid, {})[doc] = grade
+    grades: dict[str, dict[DocId, int]] = {}
+    for lineno, line in _lines(path):
+        qid, _iteration, doc, grade_text = _columns(line, lineno, 4)
+        try:
+            grade = int(grade_text)
+        except ValueError:
+            raise FormatError(f"grade {grade_text!r} is not an integer", lineno) from None
+        if grade < 0:
+            warnings.warn(f"{path}:{lineno}: negative grade {grade} clamped to 0", stacklevel=2)
+            grade = 0
+        grades.setdefault(qid, {})[doc] = grade
     return grades
 
 
 def load_id_text_tsv(path: str) -> dict[str, str]:
     """Parse an id<TAB>text map (used for query texts and passages)."""
     texts: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                raise FormatError("expected id<TAB>text", lineno)
-            key, text = line.split("\t", 1)
-            texts[key] = text
+    for lineno, line in _lines(path):
+        if "\t" not in line:
+            raise FormatError("expected id<TAB>text", lineno)
+        key, text = line.split("\t", 1)
+        texts[key] = text
     return texts
 
 
@@ -144,7 +144,7 @@ def generate_synthetic(num_queries: int, n: int, master_seed: int) -> Dataset:
     values = [(j + 1) / n for j in range(n)]
     cutoffs = [((n * pct) // 100, grade) for pct, grade in _GRADE_CUTOFFS]
     queries = []
-    grades = RelevanceMap()
+    grades: dict[str, dict[DocId, int]] = {}
     truth: dict[str, dict[DocId, float]] = {}
     for qi in range(1, num_queries + 1):
         qid = f"q{qi:0{qwidth}d}"
@@ -161,7 +161,7 @@ def generate_synthetic(num_queries: int, n: int, master_seed: int) -> Dataset:
                     grade = value
                     break
             query_grades[doc] = grade
-        grades.by_query[qid] = query_grades
+        grades[qid] = query_grades
         queries.append(Query(qid=qid, text=None, candidates=[Candidate(doc=d) for d in docs]))
     return Dataset(queries=queries, grades=grades, ground_truth_scores=truth)
 

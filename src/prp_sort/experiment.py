@@ -317,9 +317,10 @@ def _load_dataset(config: ExperimentConfig) -> Dataset:
                     )
     # The ground truth is the qrels grades, with unjudged candidates at 0.0;
     # the score oracle breaks exact ties lexicographically.
-    truth = {
-        q.qid: {c.doc: float(grades.grade(q.qid, c.doc)) for c in q.candidates} for q in queries
-    }
+    truth = {}
+    for query in queries:
+        judged = grades.get(query.qid, {})
+        truth[query.qid] = {c.doc: float(judged.get(c.doc, 0)) for c in query.candidates}
     return Dataset(queries, grades, truth)
 
 

@@ -218,8 +218,8 @@ def build_prp_prompt(
     tpl = DEFAULT_PROMPT_TEMPLATE if template is None else template
     return (
         tpl.replace("{query}", query)
-        .replace("{passage_a}", a.text or "")
-        .replace("{passage_b}", b.text or "")
+        .replace("{passage_a}", a.text)
+        .replace("{passage_b}", b.text)
     )
 
 
@@ -588,11 +588,7 @@ class LlmOracle(Oracle):
     def __init__(self, endpoint: LlmEndpoint, query: str, candidates: Iterable[Candidate]):
         self.endpoint = endpoint
         self.query = query
-        self._by_doc: dict[DocId, Candidate] = {}
-        for cand in candidates:
-            if cand.text is None:
-                raise InvalidConfig(f"candidate {cand.doc!r} has no passage text")
-            self._by_doc[cand.doc] = cand
+        self._by_doc = {cand.doc: cand for cand in candidates}
         self._connection = _Connection(endpoint)
 
     def compare(self, req: ComparisonRequest) -> Preference:
@@ -600,10 +596,10 @@ class LlmOracle(Oracle):
 
     def compare_batch(self, reqs: Sequence[ComparisonRequest]) -> list[Preference]:
         prompts = []
-        for req in reqs:
+        for first, second in reqs:
             try:
-                a = self._by_doc[req.first]
-                b = self._by_doc[req.second]
+                a = self._by_doc[first]
+                b = self._by_doc[second]
             except KeyError as exc:
                 raise InvalidConfig(f"no passage for document {exc.args[0]!r}") from None
             prompts.append(build_prp_prompt(self.query, a, b, self.endpoint.prompt_template))

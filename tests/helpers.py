@@ -9,18 +9,23 @@ from prp_sort import BatchExecutor, ComparisonRequest, Oracle, Preference, Score
 
 
 class RecordingExecutor(BatchExecutor):
-    """BatchExecutor that logs every submitted request and answer, hits
-    included, and the miss count of every group that had misses, so the
-    ceiling-sum call law can be audited after a run."""
+    """BatchExecutor that logs every submitted group, every request and
+    answer, hits included, and the miss count of every group that had
+    misses, so the ceiling-sum call law can be audited after a run."""
 
     def __init__(self, batch_size: int = 1, use_cache: bool = False):
         super().__init__(batch_size, use_cache)
-        self.trace: list[ComparisonRequest] = []
+        self.groups: list[list[ComparisonRequest]] = []
         self.answers: list[Preference] = []
         self.group_misses: list[int] = []
 
+    @property
+    def trace(self) -> list[ComparisonRequest]:
+        """Every submitted request, in order."""
+        return [req for group in self.groups for req in group]
+
     def submit_group(self, oracle, group):
-        self.trace.extend(group)
+        self.groups.append(list(group))
         hits_before = self.ledger.cache_hits
         result = super().submit_group(oracle, group)
         self.answers.extend(result)
@@ -52,8 +57,9 @@ class FixedOracle(Oracle):
             self._winners.setdefault((b, a), winner)
 
     def compare(self, req):
-        winner = self._winners[(req.first, req.second)]
-        return Preference.FIRST if winner == req.first else Preference.SECOND
+        first, second = req
+        winner = self._winners[(first, second)]
+        return Preference.FIRST if winner == first else Preference.SECOND
 
 
 def random_instance(n: int, seed: int) -> tuple[list[str], dict[str, float]]:

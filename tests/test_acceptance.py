@@ -43,7 +43,6 @@ from prp_sort import (
 from prp_sort.cli import main as cli_main
 from prp_sort.errors import FormatError
 from prp_sort.experiment import compute_aggregates
-from prp_sort.metrics import RelevanceMap
 from helpers import RecordingExecutor, random_instance, true_topk
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -316,11 +315,9 @@ def test_criterion_6_partial_quicksort_dominance():
 
 
 def test_criterion_7_ndcg_unit_correctness():
-    grades = RelevanceMap(by_query={"q": {"d1": 3, "d2": 1, "d3": 0}})
+    grades = {"q": {"d1": 3, "d2": 1, "d3": 0}}
     perfect = ndcg_at_k(["d1", "d2", "d3"], grades, "q", 3)
-    irrelevant = ndcg_at_k(
-        ["dX", "dY"], RelevanceMap(by_query={"q": {"d1": 2}}), "q", 2
-    )
+    irrelevant = ndcg_at_k(["dX", "dY"], {"q": {"d1": 2}}, "q", 2)
     hand = ndcg_at_k(["d2", "d1", "d3"], grades, "q", 3)
     expected_hand = (1.0 + 7.0 / math.log2(3)) / (7.0 + 1.0 / math.log2(3))
     ok = (

@@ -388,3 +388,85 @@ class TestExhaustiveSmall:
                             ids, k, oracle, BatchExecutor(use_cache=cached)
                         )
                         assert bubble_ranking == expected
+
+
+class TestQuestionSequence:
+    """The exact groups of ordered pairs each sorter asks, derived by hand
+    from the rules in its docstring. The first document of a pair is Passage
+    A of an LLM prompt, so the orientation is pinned as well as the pairs."""
+
+    # The input order; the true ranking is b, d, a, e, c.
+    ITEMS = ["a", "b", "c", "d", "e"]
+    SCORES = {"a": 0.5, "b": 0.9, "c": 0.1, "d": 0.7, "e": 0.3}
+
+    def groups_asked(self, sort, *args, batch_size=1, **kwargs):
+        executor = RecordingExecutor(batch_size)
+        ranking, _ = sort(self.ITEMS, *args, ScoreOracle(self.SCORES), executor, **kwargs)
+        return ranking, executor.groups
+
+    def test_heapsort_asks_child_vs_child_then_winner_vs_parent(self):
+        ranking, groups = self.groups_asked(heapsort_topk, 2)
+        assert ranking == ["b", "d"]
+        assert groups == [
+            # build: sift index 1, then index 0
+            [("d", "e")], [("d", "b")],
+            [("b", "c")], [("b", "a")], [("d", "e")], [("d", "a")],
+            # after extracting b, then d
+            [("d", "c")], [("d", "e")], [("a", "e")],
+            [("a", "c")], [("a", "e")],
+        ]
+
+    def test_bubblesort_asks_adjacent_pairs_from_the_end(self):
+        ranking, groups = self.groups_asked(bubblesort_topk, 2)
+        assert ranking == ["b", "d"]
+        assert groups == [
+            [("d", "e")], [("c", "d")], [("b", "d")], [("a", "b")],
+            [("c", "e")], [("d", "e")], [("a", "d")],
+        ]
+
+    @pytest.mark.parametrize(
+        "pivot, expected",
+        [
+            (
+                PivotStrategy.FIRST,
+                [
+                    [("b", "a"), ("c", "a"), ("d", "a"), ("e", "a")],
+                    [("d", "b")],  # the left segment [b, d] first
+                    [("e", "c")],
+                ],
+            ),
+            (
+                PivotStrategy.MIDDLE,
+                [
+                    [("a", "c"), ("b", "c"), ("d", "c"), ("e", "c")],
+                    [("a", "b"), ("d", "b"), ("e", "b")],
+                    [("a", "d"), ("e", "d")],
+                    [("e", "a")],
+                ],
+            ),
+            (
+                # At seed 1 the keyed draws pick index 3 of [0, 4], then
+                # index 4 of [2, 4].
+                PivotStrategy.RANDOM,
+                [
+                    [("a", "d"), ("b", "d"), ("c", "d"), ("e", "d")],
+                    [("a", "e"), ("c", "e")],
+                ],
+            ),
+            (
+                PivotStrategy.MEDIAN_OF_THREE,
+                [
+                    [("a", "c"), ("a", "e"), ("c", "e")],  # e is the median
+                    [("a", "e"), ("b", "e"), ("c", "e"), ("d", "e")],
+                    [("a", "b"), ("a", "d"), ("b", "d")],  # d is the median
+                    [("a", "d"), ("b", "d")],
+                ],
+            ),
+        ],
+    )
+    def test_quicksort_asks_doc_vs_pivot_left_segment_first(self, pivot, expected):
+        ranking, groups = self.groups_asked(
+            quicksort_topk, 5, batch_size=3, pivot=pivot, partial=False, seed=1
+        )
+        assert ranking == ["b", "d", "a", "e", "c"]
+        assert groups == expected

@@ -14,12 +14,11 @@ ROOT = Path(__file__).resolve().parents[1]
 # benchmark/micro.py still uses these two deleted names and reports their
 # figures as 0; mending it is a change to the benchmark.
 STALE = {"MemoizedOracle", "canonical_pair"}
-# Exported though nothing outside the package names them: the three sorters,
-# the ledger they return and the errors a caller may catch.
+# Exported though nothing outside the package names them: heapsort (its two
+# siblings appear in the README example), the ledger the sorters return and
+# the errors a caller may catch.
 API_WITHOUT_OUTSIDE_USE = {
-    "bubblesort_topk",
     "heapsort_topk",
-    "quicksort_topk",
     "CostLedger",
     "BackendFailure",
     "InvalidConfig",
@@ -66,9 +65,54 @@ def test_every_outside_use_is_exported():
 def test_every_export_is_used_or_listed():
     """An export nothing outside the package uses is dropped from ``__all__``
     (it stays importable from its submodule) or named above."""
-    unused = set(prp_sort.__all__) - _outside_uses() - API_WITHOUT_OUTSIDE_USE
+    used = _outside_uses()
+    unused = set(prp_sort.__all__) - used - API_WITHOUT_OUTSIDE_USE
     assert not unused, sorted(unused)
     assert API_WITHOUT_OUTSIDE_USE <= set(prp_sort.__all__)
+    assert not API_WITHOUT_OUTSIDE_USE & used, sorted(API_WITHOUT_OUTSIDE_USE & used)
+
+
+def _defined_names(statement: ast.stmt) -> list[str]:
+    """The names a module-level statement binds by ``def``, ``class`` or
+    assignment."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        return [t.id for t in statement.targets if isinstance(t, ast.Name)]
+    if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+        return [statement.target.id]
+    return []
+
+
+def _read_names(node: ast.AST) -> set[str]:
+    """Every name a piece of code reads, imports or looks up as an attribute."""
+    names = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Store):
+            names.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            names.add(child.attr)
+        elif isinstance(child, ast.alias):
+            names.add(child.name)
+    return names
+
+
+def test_every_private_module_name_is_used():
+    """A module-level ``_name`` that nothing else in the package reads is
+    dead: a deletion left it behind."""
+    statements = []
+    for path in sorted((ROOT / "src" / "prp_sort").glob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"))
+        statements += [(path.name, statement) for statement in module.body]
+    reads = [_read_names(statement) for _, statement in statements]
+    dead = []
+    for at, (module, statement) in enumerate(statements):
+        for name in _defined_names(statement):
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            if not any(name in names for other, names in enumerate(reads) if other != at):
+                dead.append(f"{module}:{name}")
+    assert not dead, dead
 
 
 def test_readme_example_runs_and_gives_its_stated_ranking():

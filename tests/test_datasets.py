@@ -79,20 +79,17 @@ class TestRunFileLoader:
 class TestQrelsLoader:
     def test_single_line_parse(self, tmp_path):
         path = write(tmp_path, "qrels.txt", "q1 0 dA 2\n")
-        grades = load_qrels(path)
-        assert grades.grade("q1", "dA") == 2
+        assert load_qrels(path) == {"q1": {"dA": 2}}
 
     def test_negative_grade_clamps_with_warning(self, tmp_path):
         path = write(tmp_path, "qrels.txt", "q1 0 dA -1\n")
         with pytest.warns(UserWarning, match="clamped"):
             grades = load_qrels(path)
-        assert grades.grade("q1", "dA") == 0
+        assert grades == {"q1": {"dA": 0}}
 
     def test_missing_lookup_defaults_to_zero(self, tmp_path):
         path = write(tmp_path, "qrels.txt", "q1 0 dA 2\n")
-        grades = load_qrels(path)
-        assert grades.grade("q1", "dZ") == 0
-        assert grades.grade("q9", "dA") == 0
+        assert load_qrels(path) == {"q1": {"dA": 2}}
 
     def test_wrong_column_count_rejected(self, tmp_path):
         path = write(tmp_path, "qrels.txt", "q1 0 dA\n")
@@ -123,7 +120,7 @@ class TestSyntheticGenerator:
         a = generate_synthetic(2, 5, master_seed=7)
         b = generate_synthetic(2, 5, master_seed=7)
         assert a.ground_truth_scores == b.ground_truth_scores
-        assert a.grades.by_query == b.grades.by_query
+        assert a.grades == b.grades
         assert [q.qid for q in a.queries] == [q.qid for q in b.queries]
 
     def test_scores_are_the_equally_spaced_multiset(self):
@@ -134,7 +131,7 @@ class TestSyntheticGenerator:
 
     def test_grade_quantiles_for_hundred_docs(self):
         dataset = generate_synthetic(1, 100, master_seed=3)
-        grades = list(dataset.grades.by_query["q0001"].values())
+        grades = list(dataset.grades["q0001"].values())
         assert grades.count(3) == 10
         assert grades.count(2) == 20
         assert grades.count(1) == 30
@@ -143,7 +140,7 @@ class TestSyntheticGenerator:
     def test_grades_follow_scores(self):
         dataset = generate_synthetic(1, 10, master_seed=11)
         scores = dataset.ground_truth_scores["q0001"]
-        grades = dataset.grades.by_query["q0001"]
+        grades = dataset.grades["q0001"]
         ranked = sorted(scores, key=lambda d: -scores[d])
         grade_sequence = [grades[d] for d in ranked]
         assert grade_sequence == sorted(grade_sequence, reverse=True)

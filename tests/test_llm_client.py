@@ -175,8 +175,11 @@ class TestLlmOracle:
         assert "beta passage" in prompt
 
     def test_candidates_without_text_are_rejected_upfront(self, server):
-        with pytest.raises(InvalidConfig, match="has no passage text"):
-            LlmOracle(endpoint_for(server), "q", [Candidate("dX")])
+        candidates = [*CANDIDATES, Candidate("dX")]
+        with closing(LlmOracle(endpoint_for(server), "q", candidates)) as oracle:
+            with pytest.raises(InvalidConfig, match="candidate 'dX' has no passage text"):
+                oracle.compare(ComparisonRequest("dA", "dX"))
+        assert server.requests == []
 
     def test_unknown_doc_is_rejected_before_any_post(self, server):
         with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:

@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prp_sort import InvalidConfig, ndcg_at_k
-from prp_sort.metrics import RelevanceMap
 
 grades_strategy = st.dictionaries(
     st.sampled_from([f"d{i}" for i in range(12)]), st.integers(0, 4), max_size=12
 )
 
 
-def relevance(qid: str, grades: dict[str, int]) -> RelevanceMap:
-    return RelevanceMap(by_query={qid: grades})
+def relevance(qid: str, grades: dict[str, int]) -> dict[str, dict[str, int]]:
+    return {qid: grades}
 
 
 class TestNdcg:

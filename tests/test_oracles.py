@@ -298,11 +298,11 @@ class ReferenceExecutor:
             else:
                 prefs = oracle.compare_batch(chunk)
             ledger.inference_calls += 1
-            for idx, req, pref in zip(at, chunk, prefs):
+            for idx, (first, second), pref in zip(at, chunk, prefs):
                 answers[idx] = pref
                 if memo is not None:
-                    memo[req] = pref
-                    memo[ComparisonRequest(req.second, req.first)] = pref.flipped()
+                    memo[(first, second)] = pref
+                    memo[(second, first)] = pref.flipped()
         return answers
 
 
@@ -361,9 +361,10 @@ class TestExecutorEquivalence:
         assert executor.ledger == reference.ledger
         completed: dict[ComparisonRequest, Preference] = {}
         for _, chunk in oracle.calls[:-1]:
-            for req in chunk:
-                completed[req] = oracle.base.compare(req)
-                completed[ComparisonRequest(req.second, req.first)] = completed[req].flipped()
+            for first, second in chunk:
+                pref = oracle.base.compare((first, second))
+                completed[(first, second)] = pref
+                completed[(second, first)] = pref.flipped()
         assert executor._memo == (completed if use_cache else None)
 
 
