@@ -18,8 +18,8 @@ from random import Random
 from typing import Any, Iterable, Sequence
 
 from .errors import InvalidConfig
-from .model import CostLedger, DocId, Preference
-from .oracles import BatchExecutor, ComparisonRequest, Oracle
+from .model import _FIRST, _SECOND, CostLedger, DocId
+from .oracles import BatchExecutor, Oracle, _request
 from .seeding import stable_seed
 
 
@@ -152,8 +152,7 @@ def heapsort_topk(
     submit = executor.submit_group
 
     def beats(i: int, j: int) -> bool:
-        req = ComparisonRequest(heap[i], heap[j])
-        return submit(oracle, (req,))[0] is Preference.FIRST
+        return submit(oracle, (_request((heap[i], heap[j])),))[0] is _FIRST
 
     def sift_down(i: int, size: int) -> None:
         while True:
@@ -169,13 +168,12 @@ def heapsort_topk(
 
     for i in range(n // 2 - 1, -1, -1):
         sift_down(i, n)
-    ranking = []
-    for _ in range(k):
+    ranking = [heap[0]]
+    # No sift after the k-th extraction: its answers could not reach the ranking.
+    while len(ranking) < k:
+        heap[0] = heap.pop()
+        sift_down(0, len(heap))
         ranking.append(heap[0])
-        last = heap.pop()
-        if heap:
-            heap[0] = last
-            sift_down(0, len(heap))
     return ranking, executor.ledger
 
 
@@ -202,8 +200,7 @@ def bubblesort_topk(
     for p in range(k):
         swapped = False
         for i in range(n - 1, p, -1):
-            req = ComparisonRequest(order[i - 1], order[i])
-            if submit(oracle, (req,))[0] is Preference.SECOND:
+            if submit(oracle, (_request((order[i - 1], order[i])),))[0] is _SECOND:
                 order[i - 1], order[i] = order[i], order[i - 1]
                 swapped = True
         if not swapped:
@@ -241,8 +238,7 @@ def select_pivot(
     middle = (lo + hi) // 2
     a, b, c = order[lo], order[middle], order[hi]
     ab, ac, bc = executor.submit_group(
-        oracle,
-        (ComparisonRequest(a, b), ComparisonRequest(a, c), ComparisonRequest(b, c)),
+        oracle, (_request((a, b)), _request((a, c)), _request((b, c)))
     )
     if ab is bc:
         return middle  # b sits between a and c, or the triple is a cycle
@@ -268,11 +264,9 @@ def batch_partition(
     """
     pivot_doc = order[pivot_index]
     others = [order[i] for i in range(lo, hi + 1) if i != pivot_index]
-    prefs = executor.submit_group(
-        oracle, [ComparisonRequest(doc, pivot_doc) for doc in others]
-    )
-    left = [doc for doc, pref in zip(others, prefs) if pref is Preference.FIRST]
-    right = [doc for doc, pref in zip(others, prefs) if pref is Preference.SECOND]
+    prefs = executor.submit_group(oracle, [_request((doc, pivot_doc)) for doc in others])
+    left = [doc for doc, pref in zip(others, prefs) if pref is _FIRST]
+    right = [doc for doc, pref in zip(others, prefs) if pref is _SECOND]
     order[lo : hi + 1] = left + [pivot_doc] + right
     return left, right
 

@@ -27,8 +27,15 @@ class Preference(Enum):
         return _FLIPPED[self._value_]
 
 
+# The per-question paths read these names, not ``Preference.FIRST``: on
+# CPython 3.10 and 3.11 ``EnumType`` defines ``__getattr__``, and that hook
+# sends every read of a member through the slow attribute path, about ten
+# times the cost of a module global. From 3.12 the two cost the same.
+_FIRST = Preference.FIRST
+_SECOND = Preference.SECOND
+
 # Keyed by value: a str hashes in C, an Enum member through Python code.
-_FLIPPED = {"first": Preference.SECOND, "second": Preference.FIRST}
+_FLIPPED = {"first": _SECOND, "second": _FIRST}
 
 
 @dataclass(frozen=True, slots=True)

@@ -20,11 +20,12 @@ import threading
 import urllib.parse
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from random import Random
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BackendFailure, InvalidConfig, ParseFallbackWarning
-from .model import Candidate, CostLedger, DocId, Preference
+from .model import _FIRST, _SECOND, Candidate, CostLedger, DocId, Preference
 from .seeding import stable_seed
 
 
@@ -33,6 +34,12 @@ class ComparisonRequest(NamedTuple):
 
     first: DocId
     second: DocId
+
+
+# ``_request((first, second))`` builds a ComparisonRequest in C, through
+# ``tuple.__new__``; calling the class runs a Python-level ``__new__`` that
+# costs more than a ``ScoreOracle.compare``. The sorters build one per question.
+_request = partial(tuple.__new__, ComparisonRequest)
 
 
 class Oracle:
@@ -81,10 +88,10 @@ class ScoreOracle(Oracle):
         except KeyError as exc:
             raise InvalidConfig(f"no score for document {exc.args[0]!r}") from None
         if sa > sb:
-            return Preference.FIRST
+            return _FIRST
         if sb > sa:
-            return Preference.SECOND
-        return Preference.FIRST if a < b else Preference.SECOND
+            return _SECOND
+        return _FIRST if a < b else _SECOND
 
 
 class NoisyOracle(Oracle):
@@ -235,8 +242,8 @@ def parse_preference_label(completion: str) -> tuple[Preference, bool]:
     """
     match = _LABEL.search(completion.lower())
     if match is None:
-        return Preference.FIRST, False
-    return (Preference.FIRST if match.group(1) == "a" else Preference.SECOND), True
+        return _FIRST, False
+    return (_FIRST if match.group(1) == "a" else _SECOND), True
 
 
 @dataclass(frozen=True, slots=True)

@@ -411,9 +411,8 @@ class TestQuestionSequence:
             # build: sift index 1, then index 0
             [("d", "e")], [("d", "b")],
             [("b", "c")], [("b", "a")], [("d", "e")], [("d", "a")],
-            # after extracting b, then d
+            # after extracting b; none after d, the k-th
             [("d", "c")], [("d", "e")], [("a", "e")],
-            [("a", "c")], [("a", "e")],
         ]
 
     def test_bubblesort_asks_adjacent_pairs_from_the_end(self):
