@@ -44,6 +44,8 @@ from .oracles import (
     parse_preference_label,
 )
 
+__version__ = "0.1.0"
+
 # The names callers outside the package use: the scripts, the benchmark, the
 # README example, the three sorters, the ledger they return and the errors a
 # caller may catch. Every other name is imported from its submodule.
@@ -87,17 +89,3 @@ __all__ = [
     "select_pivot",
 ]
 
-
-def __getattr__(name: str) -> str:
-    # ``__version__`` is looked up on first use: importlib.metadata scans every
-    # installed distribution, a cost ``import prp_sort`` need not pay.
-    if name != "__version__":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from importlib.metadata import PackageNotFoundError, version
-
-    try:
-        value = version("prp-sort")
-    except PackageNotFoundError:  # running from a source tree
-        value = "0.1.0"
-    globals()["__version__"] = value
-    return value

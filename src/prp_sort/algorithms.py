@@ -1,12 +1,12 @@
 """Instrumented top-k ranking algorithms.
 
 Every oracle question flows through a BatchExecutor, so each run yields a
-ranking plus a filled CostLedger. Heapsort and Bubblesort are inherently
-sequential (every comparison gates the next one), which is why they accept
-only batch size 1 and why asking them to batch is an error rather than a
-no-op. Bubblesort is the one algorithm that accepts a caching executor,
-because its adjacent sweeps re-ask the same pairs across passes; Quicksort is
-the one allowed to batch, through its all-vs-pivot partitions.
+ranking plus a filled CostLedger. Heapsort and Bubblesort ask one question at
+a time: they accept only batch size 1, and asking them to batch is an error
+rather than a no-op. Quicksort batches its all-vs-pivot partitions. Only
+Bubblesort, whose adjacent sweeps re-ask pairs across passes, accepts a
+caching executor; Heapsort and median-of-three Quicksort re-ask fewer (14.08
+and 15.22 per query on the reference sweep; README, "Caching").
 """
 
 from __future__ import annotations
@@ -45,12 +45,6 @@ def _check_executor(algorithm: Algorithm, batch_size: int, use_cache: bool) -> N
         raise InvalidConfig(f"{algorithm.value} cannot batch; use batch_size=1")
     if algorithm is not Algorithm.BUBBLESORT and use_cache:
         raise InvalidConfig(f"{algorithm.value} cannot cache; use_cache must be false")
-
-
-def _executor_for(algorithm: Algorithm, executor: BatchExecutor | None) -> BatchExecutor:
-    executor = BatchExecutor() if executor is None else executor
-    _check_executor(algorithm, executor.batch_size, executor.use_cache)
-    return executor
 
 
 @dataclass(frozen=True)
@@ -112,7 +106,13 @@ class AlgoConfig:
         return None
 
 
-def _checked_items(items: Iterable[DocId]) -> list[DocId]:
+def _entry(
+    algorithm: Algorithm, items: Iterable[DocId], k: int, executor: BatchExecutor | None
+) -> tuple[list[DocId], int, BatchExecutor]:
+    """Check a sorter's executor (a fresh one if None), candidates and k, in
+    that order; returns (the candidates as a list, k clamped to them, executor)."""
+    executor = BatchExecutor() if executor is None else executor
+    _check_executor(algorithm, executor.batch_size, executor.use_cache)
     order = list(items)
     if not order:
         raise InvalidConfig("cannot rank an empty candidate list")
@@ -120,16 +120,14 @@ def _checked_items(items: Iterable[DocId]) -> list[DocId]:
         raise InvalidConfig("candidate list contains an empty document id")
     if len(set(order)) != len(order):
         raise InvalidConfig("candidate list contains duplicate document ids")
-    return order
-
-
-def _clamp_k(k: int, n: int) -> int:
     if k < 1:
         raise InvalidConfig(f"k must be >= 1, got {k}")
+    n = len(order)
     if k > n:
+        # stacklevel 3 points the warning at the sorter's caller.
         warnings.warn(f"k={k} exceeds the {n} available items; clamping to {n}", stacklevel=3)
-        return n
-    return k
+        k = n
+    return order, k, executor
 
 
 def heapsort_topk(
@@ -140,15 +138,14 @@ def heapsort_topk(
 ) -> tuple[list[DocId], CostLedger]:
     """Max-heap build (bottom-up sift-down) plus k extract-max rounds.
 
-    Each sift step asks child-vs-child, then winner-vs-parent. Both are
-    singleton groups: every outcome decides the next question, which is what
-    rules out batching and caching here. Returns the k extracted ids in
-    extraction order (most relevant first).
+    Each sift step asks child-vs-child, then winner-vs-parent, as singleton
+    groups: within a sift every outcome decides the next question (the
+    build's sifts of disjoint subtrees are independent, but not grouped). A
+    run re-asks a few pairs yet takes no cache. Returns the k extracted ids
+    in extraction order (most relevant first).
     """
-    executor = _executor_for(Algorithm.HEAPSORT, executor)
-    heap = _checked_items(items)
+    heap, k, executor = _entry(Algorithm.HEAPSORT, items, k, executor)
     n = len(heap)
-    k = _clamp_k(k, n)
     submit = executor.submit_group
 
     def beats(i: int, j: int) -> bool:
@@ -192,10 +189,8 @@ def bubblesort_topk(
     pair sequence, outcomes and ranking are identical to the classic run;
     only the hit/call split differs.
     """
-    executor = _executor_for(Algorithm.BUBBLESORT, executor)
-    order = _checked_items(items)
+    order, k, executor = _entry(Algorithm.BUBBLESORT, items, k, executor)
     n = len(order)
-    k = _clamp_k(k, n)
     submit = executor.submit_group
     for p in range(k):
         swapped = False
@@ -290,10 +285,8 @@ def quicksort_topk(
     only how misses are chunked into calls, so the ranking is invariant
     across batch sizes.
     """
-    executor = _executor_for(Algorithm.QUICKSORT, executor)
-    order = _checked_items(items)
+    order, k, executor = _entry(Algorithm.QUICKSORT, items, k, executor)
     n = len(order)
-    k = _clamp_k(k, n)
     segments = [(0, n - 1)]
     while segments:
         lo, hi = segments.pop()

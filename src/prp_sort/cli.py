@@ -6,6 +6,7 @@ import argparse
 import sys
 from dataclasses import replace
 
+from . import __version__
 from .algorithms import Algorithm, PivotStrategy
 from .errors import InvalidConfig, RankingError
 from .experiment import (
@@ -102,8 +103,6 @@ def _print_summary(report: ExperimentReport) -> None:
 
 
 def _cmd_version(_args: argparse.Namespace) -> int:
-    from . import __version__
-
     print(__version__)
     return 0
 

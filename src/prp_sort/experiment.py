@@ -48,6 +48,10 @@ class SyntheticSpec:
     num_queries: int
     n: int
 
+    def __post_init__(self) -> None:
+        if self.num_queries < 1 or self.n < 1:
+            raise InvalidConfig(f"queries and n must be >= 1, got {self.num_queries}, {self.n}")
+
 
 @dataclass(frozen=True)
 class FileSource:
@@ -59,6 +63,10 @@ class FileSource:
     queries_path: str | None = None
     passages_path: str | None = None
     depth: int = 100
+
+    def __post_init__(self) -> None:
+        if self.depth < 1:
+            raise InvalidConfig(f"depth must be >= 1, got {self.depth}")
 
 
 @dataclass(frozen=True)
@@ -82,7 +90,8 @@ class OracleSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One sweep: dataset, algorithm matrix, oracle, k, seed and output; every
-    entry has the sweep's k. The checks run on construction, so an invalid
+    entry has the sweep's k and the default seed, since each cell's seed
+    derives from the sweep's. The checks run on construction, so an invalid
     config (also one made with ``dataclasses.replace``) cannot exist; the
     matrix is stored as a tuple, so it cannot be changed in place either."""
 
@@ -101,6 +110,9 @@ class ExperimentConfig:
         stray = sorted({algo.k for algo in self.algorithms} - {self.k})
         if stray:
             raise InvalidConfig(f"algorithm entries have k {stray}; the sweep's k is {self.k}")
+        seeded = sorted({algo.seed for algo in self.algorithms} - {AlgoConfig.seed})
+        if seeded:
+            raise InvalidConfig(f"algorithm entries have seed {seeded}; the sweep seeds each cell")
         if not self.algorithms:
             raise InvalidConfig("the algorithm matrix is empty")
         if self.out_format not in ("csv", "jsonl"):

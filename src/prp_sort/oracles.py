@@ -272,6 +272,7 @@ class LlmEndpoint:
             )
         if self.retries < 0:
             raise InvalidConfig(f"retries must be >= 0, got {self.retries}")
+        _url_parts(self.url)
 
 
 # Caps on a reply head, as in ``http.client``: a longer line, or more header
@@ -285,8 +286,28 @@ _CHUNK_SIZE_LINE = re.compile(rb"([0-9a-fA-F]{1,16})[ \t]*(?:;.*)?\r?\n")
 _REQUEST_TOKEN = re.compile(r"[!-~]+")  # what a request line and Host may hold
 
 
+def _url_parts(url: str) -> tuple[urllib.parse.SplitResult, int, str, str]:
+    """(split URL, port, host[:port] without credentials, request target) of
+    an endpoint URL; a URL that no request can go to is an InvalidConfig."""
+    try:
+        parts = urllib.parse.urlsplit(url)
+        port = parts.port or _DEFAULT_PORT.get(parts.scheme)
+    except ValueError as exc:
+        raise InvalidConfig(f"not an http(s) URL: {url!r} ({exc})") from None
+    origin = parts.netloc.rpartition("@")[2]
+    target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
+    if (
+        parts.scheme not in _DEFAULT_PORT
+        or not parts.hostname
+        or not _REQUEST_TOKEN.fullmatch(origin)
+        or not _REQUEST_TOKEN.fullmatch(target)
+    ):
+        raise InvalidConfig(f"not an http(s) URL: {url!r}")
+    return parts, port, origin, target
+
+
 class _HttpError(Exception):
-    """A reply that breaks HTTP/1.1, or an endpoint URL no request can go to."""
+    """A reply that breaks HTTP/1.1, or a proxy URL no request can go to."""
 
 
 class _Unanswered(ConnectionError):
@@ -371,21 +392,7 @@ class _Connection:
 
     def _open(self) -> socket.socket:
         """Connect to the endpoint, or to its proxy, and keep the socket."""
-        endpoint = self.endpoint
-        url = urllib.parse.urlsplit(endpoint.url)
-        try:
-            port = url.port or _DEFAULT_PORT.get(url.scheme)
-        except ValueError as exc:
-            raise _HttpError(f"not an http(s) URL: {endpoint.url!r} ({exc})") from None
-        origin = url.netloc.rpartition("@")[2]
-        target = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
-        if (
-            url.scheme not in _DEFAULT_PORT
-            or not url.hostname
-            or not _REQUEST_TOKEN.fullmatch(origin)
-            or not _REQUEST_TOKEN.fullmatch(target)
-        ):
-            raise _HttpError(f"not an http(s) URL: {endpoint.url!r}")
+        url, port, origin, target = _url_parts(self.endpoint.url)  # checked with the endpoint
         # Loaded here, not at import: urllib.request pulls in http.client,
         # email and ssl, which a program that opens no connection never needs.
         from urllib.request import getproxies, proxy_bypass
@@ -405,7 +412,7 @@ class _Connection:
             if url.scheme == "http":
                 target = f"http://{origin}{target}"
         self._target, self._host = target, origin
-        sock = self._sock = socket.create_connection(address, timeout=endpoint.timeout_s)
+        sock = self._sock = socket.create_connection(address, timeout=self.endpoint.timeout_s)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         if url.scheme == "https":
             if proxy:

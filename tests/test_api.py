@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import prp_sort
+from prp_sort import experiment
 
 ROOT = Path(__file__).resolve().parents[1]
 # benchmark/micro.py still uses these two deleted names and reports their
@@ -126,9 +127,17 @@ def test_readme_example_runs_and_gives_its_stated_ranking():
         assert namespace["ranking"] == ["d2", "d3"]
 
 
-# Loaded only when first needed: a connection opens, or the version is asked.
+def test_readme_report_schema_lists_the_report_columns_in_order():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    schema = readme.split("### Report schema", 1)[1]
+    block = re.search(r"```\n(.*?)```", schema, flags=re.DOTALL)[1]
+    assert [name.strip() for name in block.split(",")] == experiment.REPORT_COLUMNS
+
+
+# Not loaded by the import: the HTTP modules load when a connection opens,
+# and nothing looks the version up, since it is a literal in the package.
 NOT_LOADED_BY_IMPORT = [
-    "importlib.metadata",  # the version is looked up on first use
+    "importlib.metadata",
     "concurrent.futures",
     "http.client",
     "email.parser",

@@ -23,12 +23,12 @@ def write_config(tmp_path, **overrides):
     return str(path)
 
 
-# A file-mode llm sweep whose endpoint is not an http(s) URL, so every cell
-# fails without a connection being made.
+# A file-mode llm sweep whose endpoint nothing listens on, so every cell
+# fails at its first connection.
 LLM_CONFIG = (
     '{"dataset": {"run": "run.txt", "qrels": "qrels.txt", "queries": "queries.tsv",'
     ' "passages": "passages.tsv"}, "oracle": {"kind": "llm", "endpoint":'
-    ' {"url": "ftp://127.0.0.1:9/complete", "retries": 0}},'
+    ' {"url": "http://127.0.0.1:9/complete", "retries": 0}},'
     ' "k": 2, "algorithms": [{"algorithm": "heapsort"}]}'
 )
 
@@ -142,6 +142,12 @@ class TestRun:
             LLM_CONFIG.replace('"retries": 0', '"timeout_s": NaN'),
             LLM_CONFIG.replace('"retries": 0', '"timeout_s": Infinity'),
             LLM_CONFIG.replace('"retries": 0', '"timeout_s": 1e10'),
+            LLM_CONFIG.replace("http://", "ftp://"),
+            LLM_CONFIG.replace('"passages.tsv"}', '"passages.tsv", "depth": 0}'),
+            '{"dataset": {"synthetic": {"queries": 0, "n": 8}},'
+            ' "algorithms": [{"algorithm": "heapsort"}]}',
+            '{"dataset": {"synthetic": {"queries": 2, "n": 0}},'
+            ' "algorithms": [{"algorithm": "heapsort"}]}',
             '{"dataset": {"synthetic": {"queries": 2, "n": 8}}, "oracle": {"kind": "noisy",'
             ' "flip_prob": 0.3}, "algorithms": [{"algorithm": "heapsort"}]}',
             '{"dataset": {"synthetic": {"queries": 2, "n": 8}}, "sed": 5,'
@@ -165,6 +171,10 @@ class TestRun:
             "nan-timeout",
             "infinite-timeout",
             "overflowing-timeout",
+            "ftp-url",
+            "zero-depth",
+            "zero-queries",
+            "zero-n",
             "misspelt-oracle-key",
             "misspelt-top-level-key",
             "both-dataset-kinds",

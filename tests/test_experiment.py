@@ -131,6 +131,13 @@ class TestRunExperiment:
         with pytest.raises(InvalidConfig, match=message):
             small_config(algorithms=algorithms)
 
+    def test_entry_with_its_own_seed_rejected(self):
+        # A sweep has one seed: each cell's seed derives from it and the
+        # query id, so an entry's own seed would be silently replaced.
+        algorithms = [AlgoConfig(Algorithm.QUICKSORT, k=4, pivot=PivotStrategy.RANDOM, seed=7)]
+        with pytest.raises(InvalidConfig, match=r"algorithm entries have seed \[7\]"):
+            small_config(algorithms=algorithms)
+
     def test_aggregates_match_rows(self):
         report = run_experiment(small_config())
         assert compute_aggregates(report.rows) == report.aggregates
@@ -384,6 +391,7 @@ class TestConfigParsing:
             (("algorithms", 2, "use_cache"), "false", "'use_cache'"),
             (("algorithms", 1, "partial"), "no", "'partial'"),
             (("algorithms",), "heapsort", "'algorithms'"),
+            (("algorithms", 0), 5, "algorithm entry must be an object, got int"),
             (("dataset",), {"run": "run.txt"}, "'qrels'"),
             (("oracle", "flip_probability"), "x", "'flip_probability'"),
             (("dataset",), [], "'dataset'"),
@@ -395,6 +403,10 @@ class TestConfigParsing:
             (("dataset", "passages"), "x.tsv", r"unknown synthetic dataset keys: \['passages'\]"),
             (("algorithms", 0, "k"), 3, r"unknown algorithm entry keys: \['k'\]"),
             (("oracle", "seed"), 3, r"unknown oracle keys: \['seed'\]"),
+            (("dataset", "synthetic", "queries"), 0, "queries and n must be >= 1, got 0, 6"),
+            (("dataset", "synthetic", "n"), 0, "queries and n must be >= 1, got 2, 0"),
+            (("dataset",), {"run": "r.txt", "qrels": "q.txt", "depth": 0}, "depth must be >= 1"),
+            (("oracle", "endpoint"), {"url": "ftp://x/"}, "not an http"),
         ],
     )
     def test_malformed_value_rejected(self, path, value, named):

@@ -90,10 +90,20 @@ class TestLlmCompareBatch:
         with pytest.raises(BackendFailure):
             llm_compare_batch(endpoint, ["p1"])
 
-    def test_non_http_url_raises_backend_failure(self):
-        endpoint = LlmEndpoint(url="ftp://127.0.0.1:9/complete", retries=0)
-        with pytest.raises(BackendFailure, match="not an http"):
-            llm_compare_batch(endpoint, ["p1"])
+    @pytest.mark.parametrize(
+        "url",
+        [
+            "ftp://127.0.0.1:9/complete",
+            "http:///complete",
+            "http://127.0.0.1:99999/complete",
+            "http://127.0.0.1:port/complete",
+            "http://[::1/complete",
+            "http://127.0.0.1/com plete",
+        ],
+    )
+    def test_url_no_request_can_go_to_is_rejected_when_built(self, url):
+        with pytest.raises(InvalidConfig, match="not an http"):
+            LlmEndpoint(url=url, retries=0)
 
     def test_transport_failure_is_retried_once(self, server):
         server.responses.append("drop")
@@ -277,6 +287,18 @@ class TestTransport:
         assert llm_compare_batch(endpoint_for(server), ["p1"]) == [Preference.FIRST]
         assert server.requests[0]["target"] == "/complete"
 
+    @pytest.mark.parametrize(
+        "proxy", ["http://127.0.0.1:port", "http://:3128"], ids=["bad-port", "no-host"]
+    )
+    def test_malformed_proxy_url_fails_the_call(self, monkeypatch, proxy):
+        # A proxy URL comes from the environment, so it is checked when a
+        # connection opens.
+        clear_proxies(monkeypatch)
+        monkeypatch.setenv("HTTP_PROXY", proxy)
+        endpoint = LlmEndpoint(url="http://backend.invalid/complete", retries=0)
+        with pytest.raises(BackendFailure, match="bad http proxy URL"):
+            llm_compare_batch(endpoint, ["p1"])
+
     def test_https_is_tunnelled_through_the_proxy(self, server, monkeypatch):
         clear_proxies(monkeypatch)
         monkeypatch.setenv("HTTPS_PROXY", server.url.rsplit("/", 1)[0])
@@ -443,6 +465,20 @@ class TestReplyFraming:
         ],
     )
     def test_malformed_reply_is_a_backend_failure(self, server, response, error):
+        server.responses.append(response)
+        with pytest.raises(BackendFailure, match=error):
+            llm_compare_batch(endpoint_for(server), ["p1"])
+
+    @pytest.mark.parametrize(
+        "response, error",
+        [
+            (b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n", "closed inside a reply head"),
+            (b"HTTP/1.1 200 OK\r\nContent-Len", "closed inside a reply line"),
+        ],
+        ids=["inside-head", "inside-line"],
+    )
+    def test_reply_cut_off_by_a_close_is_a_backend_failure(self, server, response, error):
+        server.close_after_reply = True
         server.responses.append(response)
         with pytest.raises(BackendFailure, match=error):
             llm_compare_batch(endpoint_for(server), ["p1"])
