@@ -2,11 +2,12 @@
 
 Every oracle question flows through a BatchExecutor, so each run yields a
 ranking plus a filled CostLedger. Heapsort and Bubblesort ask one question at
-a time: they accept only batch size 1, and asking them to batch is an error
-rather than a no-op. Quicksort batches its all-vs-pivot partitions. Only
-Bubblesort, whose adjacent sweeps re-ask pairs across passes, accepts a
-caching executor; Heapsort and median-of-three Quicksort re-ask fewer (14.08
-and 15.22 per query on the reference sweep; README, "Caching").
+a time, each through ``BatchExecutor.ask`` as a group of one: they accept
+only batch size 1, and asking them to batch is an error rather than a no-op.
+Quicksort batches its all-vs-pivot partitions. Only Bubblesort, whose
+adjacent sweeps re-ask pairs across passes, accepts a caching executor;
+Heapsort and median-of-three Quicksort re-ask fewer (14.08 and 15.22 per
+query on the reference sweep; README, "Caching").
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def _entry(
     order = list(items)
     if not order:
         raise InvalidConfig("cannot rank an empty candidate list")
-    if any(not doc for doc in order):
+    if not all(order):
         raise InvalidConfig("candidate list contains an empty document id")
     if len(set(order)) != len(order):
         raise InvalidConfig("candidate list contains duplicate document ids")
@@ -138,18 +139,19 @@ def heapsort_topk(
 ) -> tuple[list[DocId], CostLedger]:
     """Max-heap build (bottom-up sift-down) plus k extract-max rounds.
 
-    Each sift step asks child-vs-child, then winner-vs-parent, as singleton
-    groups: within a sift every outcome decides the next question (the
-    build's sifts of disjoint subtrees are independent, but not grouped). A
-    run re-asks a few pairs yet takes no cache. Returns the k extracted ids
-    in extraction order (most relevant first).
+    Each sift step asks child-vs-child, then winner-vs-parent, one question
+    at a time through ``executor.ask``, each a group of one: within a sift
+    every outcome decides the next question (the build's sifts of disjoint
+    subtrees are independent, but not grouped). A run re-asks a few pairs
+    yet takes no cache. Returns the k extracted ids in extraction order
+    (most relevant first).
     """
     heap, k, executor = _entry(Algorithm.HEAPSORT, items, k, executor)
     n = len(heap)
-    submit = executor.submit_group
+    ask = executor.ask
 
     def beats(i: int, j: int) -> bool:
-        return submit(oracle, (_request((heap[i], heap[j])),))[0] is _FIRST
+        return ask(oracle, _request((heap[i], heap[j]))) is _FIRST
 
     def sift_down(i: int, size: int) -> None:
         while True:
@@ -184,18 +186,18 @@ def bubblesort_topk(
     into position p, so positions 0..p are final afterwards. Terminates
     early after a swap-free pass.
 
-    Comparisons are singleton groups because a swap changes the next pair,
-    so there is nothing independent to batch. Given a caching executor, the
-    pair sequence, outcomes and ranking are identical to the classic run;
-    only the hit/call split differs.
+    Each comparison goes through ``executor.ask`` as a group of one, because
+    a swap changes the next pair, so there is nothing independent to batch.
+    Given a caching executor, the pair sequence, outcomes and ranking are
+    identical to the classic run; only the hit/call split differs.
     """
     order, k, executor = _entry(Algorithm.BUBBLESORT, items, k, executor)
     n = len(order)
-    submit = executor.submit_group
+    ask = executor.ask
     for p in range(k):
         swapped = False
         for i in range(n - 1, p, -1):
-            if submit(oracle, (_request((order[i - 1], order[i])),))[0] is _SECOND:
+            if ask(oracle, _request((order[i - 1], order[i]))) is _SECOND:
                 order[i - 1], order[i] = order[i], order[i - 1]
                 swapped = True
         if not swapped:

@@ -5,8 +5,9 @@ place where groups of independent questions are turned into counted inference
 calls, and the one place that caches answers: a group of g requests with h
 cache hits costs ceil((g - h) / batch_size) calls, each a chunk of misses
 asked through ``compare`` if it holds one request, else ``compare_batch``.
-Grouping never changes answers, only the ledger; a cache hit repeats the
-pair's first answer.
+A single question (heapsort's, bubblesort's) goes through ``ask``, which
+charges it as a one-request group without building one. Grouping never
+changes answers, only the ledger; a cache hit repeats the pair's first answer.
 """
 
 from __future__ import annotations
@@ -123,7 +124,8 @@ class NoisyOracle(Oracle):
 
 
 class BatchExecutor:
-    """Submits independent comparison groups and accounts their cost.
+    """Submits independent comparison groups, and single questions through
+    ``ask`` as groups of one, and accounts their cost.
 
     One executor serves exactly one algorithm run. With ``use_cache`` it
     keeps a run-scoped memo of every answered pair, stored in both
@@ -156,20 +158,6 @@ class BatchExecutor:
         ledger = self.ledger
         ledger.comparisons += len(group)
         memo = self._memo
-        if len(group) == 1:  # most groups (heapsort, bubblesort): no per-group lists
-            req = group[0]
-            if memo is not None:
-                answer = memo.get(req)
-                if answer is not None:
-                    ledger.cache_hits += 1
-                    return [answer]
-            ledger.batch_groups += 1
-            answer = oracle.compare(req)
-            ledger.inference_calls += 1
-            if memo is not None:
-                memo[req] = answer
-                memo[(req[1], req[0])] = answer.flipped()
-            return [answer]
         if memo is None:
             return self._resolve(oracle, group) if group else []
         answers = [memo.get(req) for req in group]
@@ -180,6 +168,25 @@ class BatchExecutor:
             for idx, pref in zip(miss_at, prefs):
                 answers[idx] = pref
         return answers  # type: ignore[return-value]
+
+    def ask(self, oracle: Oracle, req: ComparisonRequest) -> Preference:
+        """Answer one request as a group of its own, under ``submit_group``'s
+        ledger and memo rules; the oracle's ``compare`` gets ``req`` itself."""
+        ledger = self.ledger
+        ledger.comparisons += 1
+        memo = self._memo
+        if memo is not None:
+            answer = memo.get(req)
+            if answer is not None:
+                ledger.cache_hits += 1
+                return answer
+        ledger.batch_groups += 1
+        answer = oracle.compare(req)
+        ledger.inference_calls += 1
+        if memo is not None:
+            memo[req] = answer
+            memo[(req[1], req[0])] = answer.flipped()
+        return answer
 
     def _resolve(self, oracle: Oracle, misses: Sequence[ComparisonRequest]) -> list[Preference]:
         """Answer one or more misses as one batch group, in chunks of at most
@@ -291,13 +298,14 @@ def _url_parts(url: str) -> tuple[urllib.parse.SplitResult, int, str, str]:
     an endpoint URL; a URL that no request can go to is an InvalidConfig."""
     try:
         parts = urllib.parse.urlsplit(url)
-        port = parts.port or _DEFAULT_PORT.get(parts.scheme)
+        port = _DEFAULT_PORT.get(parts.scheme) if parts.port is None else parts.port
     except ValueError as exc:
         raise InvalidConfig(f"not an http(s) URL: {url!r} ({exc})") from None
     origin = parts.netloc.rpartition("@")[2]
     target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
     if (
         parts.scheme not in _DEFAULT_PORT
+        or not port  # an explicit port 0
         or not parts.hostname
         or not _REQUEST_TOKEN.fullmatch(origin)
         or not _REQUEST_TOKEN.fullmatch(target)

@@ -11,7 +11,9 @@ from prp_sort import BatchExecutor, ComparisonRequest, Oracle, Preference, Score
 class RecordingExecutor(BatchExecutor):
     """BatchExecutor that logs every submitted group, every request and
     answer, hits included, and the miss count of every group that had
-    misses, so the ceiling-sum call law can be audited after a run."""
+    misses, so the ceiling-sum call law can be audited after a run. A
+    request answered through ``ask`` is logged as a group of that one
+    request object."""
 
     def __init__(self, batch_size: int = 1, use_cache: bool = False):
         super().__init__(batch_size, use_cache)
@@ -33,6 +35,15 @@ class RecordingExecutor(BatchExecutor):
         if misses > 0:
             self.group_misses.append(misses)
         return result
+
+    def ask(self, oracle, req):
+        self.groups.append([req])
+        hits_before = self.ledger.cache_hits
+        answer = super().ask(oracle, req)
+        self.answers.append(answer)
+        if self.ledger.cache_hits == hits_before:
+            self.group_misses.append(1)
+        return answer
 
 
 class CountingOracle(Oracle):

@@ -97,6 +97,8 @@ class TestLlmCompareBatch:
             "http:///complete",
             "http://127.0.0.1:99999/complete",
             "http://127.0.0.1:port/complete",
+            "http://127.0.0.1:0/complete",
+            "https://h:0/x",
             "http://[::1/complete",
             "http://127.0.0.1/com plete",
         ],

@@ -306,8 +306,18 @@ class ReferenceExecutor:
         return answers
 
 
+def _answer(executor, oracle, group, ask_singletons):
+    """Answer ``group`` through ``submit_group``; with ``ask_singletons``, a
+    one-request group through ``ask`` instead."""
+    if ask_singletons and len(group) == 1:
+        return [executor.ask(oracle, group[0])]
+    return executor.submit_group(oracle, group)
+
+
 class TestExecutorEquivalence:
-    """BatchExecutor's direct paths against the plainly written reference."""
+    """BatchExecutor's direct paths against the plainly written reference.
+    Each test runs twice: once through ``submit_group`` alone, once with
+    every one-request group answered through ``ask``."""
 
     @given(
         batch_size=st.integers(1, 9),
@@ -323,15 +333,16 @@ class TestExecutorEquivalence:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_the_reference_resolver(self, batch_size, use_cache, groups):
-        oracle, reference_oracle = ChunkLog(), ChunkLog()
-        executor = BatchExecutor(batch_size, use_cache)
-        reference = ReferenceExecutor(batch_size, use_cache)
-        for group in groups:
-            answers = executor.submit_group(oracle, group)
-            assert answers == reference.submit_group(reference_oracle, group)
-        assert executor.ledger == reference.ledger
-        assert oracle.calls == reference_oracle.calls
-        assert executor._memo == reference.memo
+        for ask_singletons in (False, True):
+            oracle, reference_oracle = ChunkLog(), ChunkLog()
+            executor = BatchExecutor(batch_size, use_cache)
+            reference = ReferenceExecutor(batch_size, use_cache)
+            for group in groups:
+                answers = _answer(executor, oracle, group, ask_singletons)
+                assert answers == reference.submit_group(reference_oracle, group)
+            assert executor.ledger == reference.ledger
+            assert oracle.calls == reference_oracle.calls
+            assert executor._memo == reference.memo
 
     @pytest.mark.parametrize("use_cache", [False, True])
     @pytest.mark.parametrize(
@@ -346,26 +357,27 @@ class TestExecutorEquivalence:
     def test_backend_failure_counts_and_memoizes_only_completed_chunks(
         self, use_cache, batch_size, group, fail_on
     ):
-        oracle, reference_oracle = ChunkLog(fail_on), ChunkLog(fail_on)
-        executor = BatchExecutor(batch_size, use_cache)
-        reference = ReferenceExecutor(batch_size, use_cache)
-        # Call 1 succeeds; the group under test shares no pair with it.
-        assert executor.submit_group(oracle, [P01]) == [Preference.FIRST]
-        reference.submit_group(reference_oracle, [P01])
-        with pytest.raises(BackendFailure):
-            executor.submit_group(oracle, group)
-        with pytest.raises(BackendFailure):
-            reference.submit_group(reference_oracle, group)
-        assert len(oracle.calls) == fail_on
-        assert executor.ledger.inference_calls == fail_on - 1
-        assert executor.ledger == reference.ledger
-        completed: dict[ComparisonRequest, Preference] = {}
-        for _, chunk in oracle.calls[:-1]:
-            for first, second in chunk:
-                pref = oracle.base.compare((first, second))
-                completed[(first, second)] = pref
-                completed[(second, first)] = pref.flipped()
-        assert executor._memo == (completed if use_cache else None)
+        for ask_singletons in (False, True):
+            oracle, reference_oracle = ChunkLog(fail_on), ChunkLog(fail_on)
+            executor = BatchExecutor(batch_size, use_cache)
+            reference = ReferenceExecutor(batch_size, use_cache)
+            # Call 1 succeeds; the group under test shares no pair with it.
+            assert _answer(executor, oracle, [P01], ask_singletons) == [Preference.FIRST]
+            reference.submit_group(reference_oracle, [P01])
+            with pytest.raises(BackendFailure):
+                _answer(executor, oracle, group, ask_singletons)
+            with pytest.raises(BackendFailure):
+                reference.submit_group(reference_oracle, group)
+            assert len(oracle.calls) == fail_on
+            assert executor.ledger.inference_calls == fail_on - 1
+            assert executor.ledger == reference.ledger
+            completed: dict[ComparisonRequest, Preference] = {}
+            for _, chunk in oracle.calls[:-1]:
+                for first, second in chunk:
+                    pref = oracle.base.compare((first, second))
+                    completed[(first, second)] = pref
+                    completed[(second, first)] = pref.flipped()
+            assert executor._memo == (completed if use_cache else None)
 
 
 class TestPromptBuilding:
