@@ -36,11 +36,12 @@ from .oracles import LlmEndpoint, LlmOracle, NoisyOracle, Oracle, ScoreOracle
 from .seeding import stable_seed
 
 # Cells of an llm sweep in flight at once. Each worker thread gets its own
-# malloc arena, so peak RSS grows with the pool. Eight stay within a few
-# percent of the RSS that four took over http.client, because a call no
-# longer copies its request body to join the head, nor asks a receive for
-# 64 KiB (oracles._RECV_SIZE).
-LLM_CONCURRENCY = 8
+# malloc arena, so peak RSS grows with the pool. Twelve stay at the RSS that
+# eight took when every call built its prompts as strings, then a JSON str,
+# then its bytes: ``LlmOracle`` now joins each body once from bytes escaped
+# when the cell starts. Sixteen cost about 3 MB more and were not clearly
+# faster on 2 vCPUs (README, "peak RSS").
+LLM_CONCURRENCY = 12
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import threading
 import urllib.parse
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from random import Random
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -218,23 +218,38 @@ DEFAULT_PROMPT_TEMPLATE = (
 )
 
 
+_SLOT = re.compile(r"\{(query|passage_a|passage_b)\}")
+
+
+@lru_cache(maxsize=16)
+def _template_parts(template: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(texts, slots) of a prompt template, split once on its placeholders:
+    the prompt is texts[0], then each slot's value followed by the next text."""
+    parts = _SLOT.split(template)
+    return tuple(parts[0::2]), tuple(parts[1::2])
+
+
 def build_prp_prompt(
     query: str, a: Candidate, b: Candidate, template: str | None = None
 ) -> str:
     """Instantiate the pairwise prompt template for one comparison.
 
-    The placeholders {query}, {passage_a} and {passage_b} are replaced
-    verbatim and nothing else is interpreted, so passages may contain braces.
+    The template is split once on its placeholders {query}, {passage_a} and
+    {passage_b}, in any order, any number of times each, and each one is
+    replaced by its value verbatim. Nothing else is interpreted, and a value
+    is never searched for placeholders, so a query or passage may hold
+    braces, or even ``{passage_b}``, and still appears as written.
+    ``LlmOracle`` fills the same split with JSON-escaped bytes.
     """
     for cand in (a, b):
         if cand.text is None:
             raise InvalidConfig(f"candidate {cand.doc!r} has no passage text")
-    tpl = DEFAULT_PROMPT_TEMPLATE if template is None else template
-    return (
-        tpl.replace("{query}", query)
-        .replace("{passage_a}", a.text)
-        .replace("{passage_b}", b.text)
-    )
+    texts, slots = _template_parts(DEFAULT_PROMPT_TEMPLATE if template is None else template)
+    values = {"query": query, "passage_a": a.text, "passage_b": b.text}
+    out = [texts[0]]
+    for slot, text in zip(slots, texts[1:]):
+        out += (values[slot], text)
+    return "".join(out)
 
 
 _LABEL = re.compile(r"\bpassage ([ab])\b")
@@ -406,17 +421,20 @@ class _Connection:
         from urllib.request import getproxies, proxy_bypass
 
         address = (url.hostname, port)
-        proxy = None
-        if not proxy_bypass(url.hostname):
-            proxy = getproxies().get(url.scheme)
+        # getproxies walks the environment; proxy_bypass walks it again, so
+        # it runs only when there is a proxy to bypass.
+        proxy = getproxies().get(url.scheme)
+        if proxy and proxy_bypass(url.hostname):
+            proxy = None
         if proxy:
             proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
             try:
-                address = (proxy_url.hostname, proxy_url.port or _DEFAULT_PORT[url.scheme])
+                proxy_port = proxy_url.port
             except ValueError as exc:
                 raise _HttpError(f"bad {url.scheme} proxy URL: {exc}") from None
-            if not proxy_url.hostname:
+            if not proxy_url.hostname or proxy_port == 0:
                 raise _HttpError(f"bad {url.scheme} proxy URL: {proxy!r}")
+            address = (proxy_url.hostname, proxy_port or _DEFAULT_PORT[url.scheme])
             if url.scheme == "http":
                 target = f"http://{origin}{target}"
         self._target, self._host = target, origin
@@ -551,37 +569,44 @@ def llm_compare_batch(
 ) -> list[Preference]:
     """Resolve a batch of rendered prompts as one logical inference call.
 
-    The POST goes over ``connection`` when one is given (``LlmOracle`` passes
-    its own); otherwise a connection is opened for this call and closed after
-    it. Transport errors are retried up to endpoint.retries times before
-    raising BackendFailure; HTTP status or payload problems fail immediately.
-    Completions without a recognizable label fall back to FIRST with a
-    ParseFallbackWarning, which keeps long sweeps running.
+    The POST goes over ``connection`` when one is given; otherwise a
+    connection is opened for this call and closed after it. Transport errors
+    are retried up to endpoint.retries times before raising BackendFailure;
+    HTTP status or payload problems fail immediately. Completions without a
+    recognizable label fall back to FIRST with a ParseFallbackWarning, which
+    keeps long sweeps running.
     """
+    body = json.dumps({"model": endpoint.model, "prompts": list(prompts)}).encode("utf-8")
+    if connection is not None:
+        return _exchange(endpoint, connection, body, len(prompts))
+    connection = _Connection(endpoint)
+    try:
+        return _exchange(endpoint, connection, body, len(prompts))
+    finally:
+        connection.close()
+
+
+def _exchange(
+    endpoint: LlmEndpoint, connection: _Connection, body: bytes, count: int
+) -> list[Preference]:
+    """POST a request body of ``count`` prompts and parse its completions into
+    preferences, in order: the one HTTP exchange of every inference call."""
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(endpoint.api_key_env, "")
     if api_key:
         if not _REQUEST_TOKEN.fullmatch(api_key):  # it goes into the request head as is
             raise InvalidConfig(f"{endpoint.api_key_env} must be printable ASCII without spaces")
         headers["Authorization"] = f"Bearer {api_key}"
-    body = json.dumps({"model": endpoint.model, "prompts": list(prompts)}).encode("utf-8")
-    if connection is None:
-        connection = _Connection(endpoint)
-        try:
-            status, data = connection.post(body, headers)
-        finally:
-            connection.close()
-    else:
-        status, data = connection.post(body, headers)
+    status, data = connection.post(body, headers)
     if status != 200:
         raise BackendFailure(f"POST {endpoint.url} returned HTTP {status}")
     try:
         completions = json.loads(data)["completions"]
     except (ValueError, KeyError, TypeError) as exc:
         raise BackendFailure(f"malformed response from {endpoint.url}: {exc!r}") from exc
-    if not isinstance(completions, list) or len(completions) != len(prompts):
+    if not isinstance(completions, list) or len(completions) != count:
         raise BackendFailure(
-            f"expected {len(prompts)} completions from {endpoint.url}, "
+            f"expected {count} completions from {endpoint.url}, "
             f"got {len(completions) if isinstance(completions, list) else completions!r}"
         )
     preferences = []
@@ -592,10 +617,17 @@ def llm_compare_batch(
                 f"completion {str(completion)[:80]!r} has no passage label; "
                 "falling back to First",
                 ParseFallbackWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
         preferences.append(pref)
     return preferences
+
+
+def _json_chars(text: str) -> bytes:
+    """``text`` as it stands between the quotes of a JSON string that
+    ``json.dumps`` writes; escaping is per character, so the escapes of two
+    texts join into the escape of the two joined."""
+    return json.dumps(text)[1:-1].encode("ascii")
 
 
 class LlmOracle(Oracle):
@@ -605,27 +637,64 @@ class LlmOracle(Oracle):
     first document as Passage A; both orders are never queried for one
     comparison, matching one-inference-per-comparison accounting. All calls
     share one kept-alive connection, which ``close()`` releases.
+
+    The prompt template is split once, when the oracle is built, as
+    ``build_prp_prompt`` splits it, and its text, the query and every
+    passage are JSON-escaped then, once each. A call joins those bytes into
+    its request body, which equals ``llm_compare_batch``'s body for the
+    prompts ``build_prp_prompt`` renders, without building any prompt.
     """
 
     def __init__(self, endpoint: LlmEndpoint, query: str, candidates: Iterable[Candidate]):
         self.endpoint = endpoint
         self.query = query
-        self._by_doc = {cand.doc: cand for cand in candidates}
+        template = endpoint.prompt_template
+        texts, slots = _template_parts(DEFAULT_PROMPT_TEMPLATE if template is None else template)
+        # The query is the same in every prompt, so it joins the text around
+        # it; a prompt is then chunks[0], and per passage slot the passage
+        # (0 for A, 1 for B) followed by the next chunk. A prompt's quotes
+        # are in its first and last chunk.
+        chunks = [b'"' + _json_chars(texts[0])]
+        sides = []
+        for slot, text in zip(slots, texts[1:]):
+            if slot == "query":
+                chunks[-1] += _json_chars(query)
+            else:
+                sides.append(int(slot == "passage_b"))
+                chunks.append(b"")
+            chunks[-1] += _json_chars(text)
+        chunks[-1] += b'"'
+        model = json.dumps(endpoint.model).encode("ascii")
+        self._head = b'{"model": ' + model + b', "prompts": ['
+        self._lead = chunks[0]
+        self._next_lead = b", " + chunks[0]  # every prompt after the first
+        self._layout = tuple(zip(sides, chunks[1:]))
+        self._passages = {
+            cand.doc: None if cand.text is None else _json_chars(cand.text) for cand in candidates
+        }
         self._connection = _Connection(endpoint)
 
     def compare(self, req: ComparisonRequest) -> Preference:
         return self.compare_batch([req])[0]
 
     def compare_batch(self, reqs: Sequence[ComparisonRequest]) -> list[Preference]:
-        prompts = []
+        passages, layout, next_lead = self._passages, self._layout, self._next_lead
+        parts = [self._head]
+        lead = self._lead
         for first, second in reqs:
             try:
-                a = self._by_doc[first]
-                b = self._by_doc[second]
+                pair = (passages[first], passages[second])
             except KeyError as exc:
                 raise InvalidConfig(f"no passage for document {exc.args[0]!r}") from None
-            prompts.append(build_prp_prompt(self.query, a, b, self.endpoint.prompt_template))
-        return llm_compare_batch(self.endpoint, prompts, self._connection)
+            if pair[0] is None or pair[1] is None:
+                doc = first if pair[0] is None else second
+                raise InvalidConfig(f"candidate {doc!r} has no passage text")
+            parts.append(lead)
+            for side, chunk in layout:
+                parts += (pair[side], chunk)
+            lead = next_lead
+        parts.append(b"]}")
+        return _exchange(self.endpoint, self._connection, b"".join(parts), len(reqs))
 
     def close(self) -> None:
         self._connection.close()

@@ -1,11 +1,16 @@
+import json
 import signal
+import socket
 import sys
 import threading
 import time
+import urllib.request
 from contextlib import closing
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prp_sort import (
     Algorithm,
@@ -18,6 +23,7 @@ from prp_sort import (
     LlmEndpoint,
     ParseFallbackWarning,
     Preference,
+    build_prp_prompt,
     emit_report,
     llm_compare_batch,
     run_experiment,
@@ -200,10 +206,72 @@ class TestLlmOracle:
         assert server.requests == []
 
 
+# Texts with what JSON escapes (quotes, backslashes, control characters),
+# braces, placeholders and characters beyond ASCII and beyond the BMP.
+SPECIALS = ['"', "\\", "\n", "\t", "\x00", "\x1f", "%", "{", "}", "\u00e9", "\u2603", "\U0001f600"]
+PLACEHOLDERS = ["{query}", "{passage_a}", "{passage_b}"]
+texts = st.lists(
+    st.one_of(st.text(max_size=6), st.sampled_from(SPECIALS + PLACEHOLDERS)), max_size=8
+).map("".join)
+templates = st.one_of(
+    st.none(),
+    st.lists(st.one_of(texts, st.sampled_from(PLACEHOLDERS)), max_size=8).map("".join),
+)
+
+
+class TestRequestBody:
+    """The body ``LlmOracle`` joins from escaped bytes is the body of its
+    rendered prompts."""
+
+    @given(
+        model=st.text(max_size=8),
+        template=templates,
+        query=texts,
+        passages=st.lists(texts, min_size=2, max_size=5),
+        picks=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_body_is_the_json_of_the_rendered_prompts(
+        self, model, template, query, passages, picks
+    ):
+        candidates = [Candidate(f"d{i}", text=text) for i, text in enumerate(passages)]
+        reqs = [
+            ComparisonRequest(f"d{a % len(passages)}", f"d{b % len(passages)}") for a, b in picks
+        ]
+        endpoint = LlmEndpoint(
+            url="http://backend.invalid/complete", model=model, prompt_template=template
+        )
+        bodies = []
+
+        def post(body, headers):
+            bodies.append(body)
+            return 200, json.dumps({"completions": ["Passage B"] * len(reqs)}).encode()
+
+        with closing(LlmOracle(endpoint, query, candidates)) as oracle:
+            oracle._connection.post = post
+            assert oracle.compare_batch(reqs) == [Preference.SECOND] * len(reqs)
+        by_doc = {cand.doc: cand for cand in candidates}
+        prompts = [build_prp_prompt(query, by_doc[a], by_doc[b], template) for a, b in reqs]
+        assert bodies == [json.dumps({"model": model, "prompts": prompts}).encode()]
+
+
 def clear_proxies(monkeypatch):
     for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
         monkeypatch.delenv(name, raising=False)
         monkeypatch.delenv(name.upper(), raising=False)
+
+
+def refuse_connections(monkeypatch):
+    """Make ``socket.create_connection`` refuse every connect; returns the
+    list of addresses it was given."""
+    addresses = []
+
+    def create_connection(address, *args, **kwargs):
+        addresses.append(address)
+        raise ConnectionRefusedError("not connecting in a test")
+
+    monkeypatch.setattr(socket, "create_connection", create_connection)
+    return addresses
 
 
 class TestTransport:
@@ -300,6 +368,43 @@ class TestTransport:
         endpoint = LlmEndpoint(url="http://backend.invalid/complete", retries=0)
         with pytest.raises(BackendFailure, match="bad http proxy URL"):
             llm_compare_batch(endpoint, ["p1"])
+
+    @pytest.mark.parametrize(
+        "proxy, address",
+        [
+            ("http://127.0.0.1:0", None),
+            ("http://127.0.0.1:3128", ("127.0.0.1", 3128)),
+            ("http://127.0.0.1", ("127.0.0.1", 80)),
+        ],
+        ids=["port-0", "port-3128", "no-port"],
+    )
+    def test_proxy_port_0_fails_the_call_without_connecting(self, monkeypatch, proxy, address):
+        clear_proxies(monkeypatch)
+        monkeypatch.setenv("HTTP_PROXY", proxy)
+        addresses = refuse_connections(monkeypatch)
+        endpoint = LlmEndpoint(url="http://backend.invalid:8080/complete", retries=0)
+        error = "bad http proxy URL" if address is None else "not connecting"
+        with pytest.raises(BackendFailure, match=error):
+            llm_compare_batch(endpoint, ["p1"])
+        assert addresses == ([] if address is None else [address])
+
+    @pytest.mark.parametrize("proxy", [None, "http://127.0.0.1:3128"], ids=["none", "set"])
+    def test_bypass_is_looked_up_only_for_a_proxy(self, monkeypatch, proxy):
+        clear_proxies(monkeypatch)
+        if proxy is not None:
+            monkeypatch.setenv("HTTP_PROXY", proxy)
+        lookups = []
+
+        def proxy_bypass(host):
+            lookups.append(host)
+            return False
+
+        monkeypatch.setattr(urllib.request, "proxy_bypass", proxy_bypass)
+        refuse_connections(monkeypatch)
+        endpoint = LlmEndpoint(url="http://backend.invalid/complete", retries=0)
+        with pytest.raises(BackendFailure, match="not connecting"):
+            llm_compare_batch(endpoint, ["p1"])
+        assert lookups == ([] if proxy is None else ["backend.invalid"])
 
     def test_https_is_tunnelled_through_the_proxy(self, server, monkeypatch):
         clear_proxies(monkeypatch)

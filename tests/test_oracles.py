@@ -404,6 +404,34 @@ class TestPromptBuilding:
         with pytest.raises(InvalidConfig, match="has no passage text"):
             build_prp_prompt("q", Candidate("a"), Candidate("b", text="y"))
 
+    def test_placeholder_inside_a_passage_is_kept_verbatim(self):
+        a = Candidate("a", text="text with {passage_b} inside")
+        b = Candidate("b", text="BBB")
+        template = "A:{passage_a} B:{passage_b}"
+        assert build_prp_prompt("q", a, b, template) == "A:text with {passage_b} inside B:BBB"
+
+    def test_placeholder_inside_the_query_is_kept_verbatim(self):
+        a, b = Candidate("a", text="AAA"), Candidate("b", text="BBB")
+        prompt = build_prp_prompt("why {passage_a}? {query}", a, b)
+        assert "Query: why {passage_a}? {query}\n" in prompt
+        assert prompt.count("AAA") == 1
+
+    @pytest.mark.parametrize(
+        "template, expected",
+        [
+            ("B={passage_b} A={passage_a} Q={query}", "B=yy A=xx Q=q"),
+            ("{passage_a}{passage_a}|{query}|{passage_a}", "xxxx|q|xx"),
+            ("only {passage_b}", "only yy"),
+            ("no slots {at} all {passage_c}", "no slots {at} all {passage_c}"),
+            ("{{query}} {passage_a", "{q} {passage_a"),
+            ("", ""),
+        ],
+        ids=["reordered", "repeated", "missing", "none", "braces", "empty"],
+    )
+    def test_any_order_and_number_of_slots(self, template, expected):
+        a, b = Candidate("a", text="xx"), Candidate("b", text="yy")
+        assert build_prp_prompt("q", a, b, template) == expected
+
 
 class TestLabelParsing:
     @pytest.mark.parametrize(
