@@ -82,7 +82,7 @@ def load_run_file(path: str, depth: int = 100) -> list[Query]:
         if (qid, doc) in seen:
             raise FormatError(f"duplicate candidate {doc!r} for query {qid!r}", lineno)
         seen.add((qid, doc))
-        per_query.setdefault(qid, []).append((rank, Candidate(doc=doc)))
+        per_query.setdefault(qid, []).append((rank, Candidate(doc)))
     queries = []
     for qid, ranked in per_query.items():
         ranked.sort(key=lambda entry: entry[0])
@@ -134,7 +134,8 @@ def generate_synthetic(num_queries: int, n: int, master_seed: int) -> Dataset:
     spaced values 1/n .. 1.0, so every pair is strictly ordered. Graded
     relevance follows score quantiles so NDCG is computable. The per-query
     seed depends only on (master_seed, qid); adding queries never perturbs
-    existing ones.
+    existing ones. Every query holds the same n frozen candidates, each
+    query in a list of its own.
     """
     if num_queries < 1 or n < 1:
         raise InvalidConfig("num_queries and n must both be >= 1")
@@ -142,7 +143,13 @@ def generate_synthetic(num_queries: int, n: int, master_seed: int) -> Dataset:
     dwidth = max(4, len(str(n)))
     docs = [f"d{j:0{dwidth}d}" for j in range(n)]
     values = [(j + 1) / n for j in range(n)]
+    candidates = [Candidate(doc) for doc in docs]
     cutoffs = [((n * pct) // 100, grade) for pct, grade in _GRADE_CUTOFFS]
+    # The grade of the document at each score rank, best first.
+    grades_by_position = [
+        next((grade for cutoff, grade in cutoffs if position < cutoff), 0)
+        for position in range(n)
+    ]
     queries = []
     grades: dict[str, dict[DocId, int]] = {}
     truth: dict[str, dict[DocId, float]] = {}
@@ -150,18 +157,9 @@ def generate_synthetic(num_queries: int, n: int, master_seed: int) -> Dataset:
         qid = f"q{qi:0{qwidth}d}"
         shuffled = list(values)
         Random(stable_seed("synth", master_seed, qid)).shuffle(shuffled)
-        scores = dict(zip(docs, shuffled))
-        truth[qid] = scores
-        by_rank = sorted(docs, key=lambda d: -scores[d])
-        query_grades = {}
-        for position, doc in enumerate(by_rank):
-            grade = 0
-            for cutoff, value in cutoffs:
-                if position < cutoff:
-                    grade = value
-                    break
-            query_grades[doc] = grade
-        grades[qid] = query_grades
-        queries.append(Query(qid=qid, text=None, candidates=[Candidate(doc=d) for d in docs]))
+        scores = truth[qid] = dict(zip(docs, shuffled))
+        # The scores are distinct, so no tie order is left to keep.
+        by_rank = sorted(docs, key=scores.__getitem__, reverse=True)
+        grades[qid] = dict(zip(by_rank, grades_by_position))
+        queries.append(Query(qid=qid, text=None, candidates=list(candidates)))
     return Dataset(queries=queries, grades=grades, ground_truth_scores=truth)
-

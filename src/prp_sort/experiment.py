@@ -11,14 +11,12 @@ order changes any existing per-query value.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import sys
 import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from statistics import fmean, pstdev
 from typing import Any, Callable, Sequence
 
 from .algorithms import Algorithm, AlgoConfig, PivotStrategy, run_algorithm
@@ -31,7 +29,7 @@ from .datasets import (
 )
 from .errors import BackendFailure, InvalidConfig
 from .metrics import ndcg_at_k
-from .model import CostLedger
+from .model import Candidate, CostLedger
 from .oracles import LlmEndpoint, LlmOracle, NoisyOracle, Oracle, ScoreOracle
 from .seeding import stable_seed
 
@@ -312,9 +310,7 @@ def _load_dataset(config: ExperimentConfig) -> Dataset:
     if source.passages_path:
         passages = load_id_text_tsv(source.passages_path)
         for query in queries:
-            query.candidates = [
-                replace(c, text=passages.get(c.doc)) for c in query.candidates
-            ]
+            query.candidates = [Candidate(c.doc, passages.get(c.doc)) for c in query.candidates]
     if config.oracle.kind == "llm":
         for query in queries:
             if query.text is None:
@@ -471,6 +467,9 @@ def compute_aggregates(rows: list[QueryRow]) -> list[AggregateRow]:
     in mean inference calls over the group with that baseline's label, when
     it is present: positive when the group needs fewer calls.
     """
+    # Loaded here, not at import: only a sweep that aggregates needs it.
+    from statistics import fmean, pstdev
+
     groups: dict[str, list[QueryRow]] = {}
     for row in rows:
         groups.setdefault(row.algorithm, []).append(row)
@@ -574,6 +573,9 @@ def emit_report(report: ExperimentReport, out_format: str, path: str | None) -> 
     records += [_row_record(a) for a in report.aggregates]
     buffer = io.StringIO()
     if out_format == "csv":
+        # Loaded here, not at import: only a CSV report needs it.
+        import csv
+
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
         for record in records:

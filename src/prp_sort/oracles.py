@@ -15,19 +15,20 @@ from __future__ import annotations
 import json
 import os
 import re
-import select
-import socket
 import threading
 import urllib.parse
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from random import Random
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BackendFailure, InvalidConfig, ParseFallbackWarning
 from .model import _FIRST, _SECOND, Candidate, CostLedger, DocId, Preference
 from .seeding import stable_seed
+
+if TYPE_CHECKING:
+    import socket
 
 
 class ComparisonRequest(NamedTuple):
@@ -372,8 +373,13 @@ class _Connection:
         while True:
             # An idle socket that reads ready was closed by the peer, or holds
             # bytes that no request of ours asked for.
-            if self._sock is not None and select.select([self._sock], [], [], 0)[0]:
-                self.close()
+            if self._sock is not None:
+                # Loaded here, not at import, as in ``_open``: only a program
+                # that has opened a connection polls one.
+                import select
+
+                if select.select([self._sock], [], [], 0)[0]:
+                    self.close()
             reused = self._sock is not None
             try:
                 return self._attempt(body, headers)
@@ -416,8 +422,10 @@ class _Connection:
     def _open(self) -> socket.socket:
         """Connect to the endpoint, or to its proxy, and keep the socket."""
         url, port, origin, target = _url_parts(self.endpoint.url)  # checked with the endpoint
-        # Loaded here, not at import: urllib.request pulls in http.client,
-        # email and ssl, which a program that opens no connection never needs.
+        # Loaded here, not at import: socket, and urllib.request, which pulls
+        # in http.client, email and ssl; a program that opens no connection
+        # needs none of them.
+        import socket
         from urllib.request import getproxies, proxy_bypass
 
         address = (url.hostname, port)

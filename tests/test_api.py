@@ -143,6 +143,10 @@ NOT_LOADED_BY_IMPORT = [
     "email.parser",
     "ssl",
     "urllib.request",
+    "socket",
+    "select",
+    "statistics",
+    "csv",
 ]
 
 

@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 
 from prp_sort import (
@@ -7,7 +9,10 @@ from prp_sort import (
     load_qrels,
     load_run_file,
 )
+from prp_sort.datasets import Dataset, Query
 from prp_sort.errors import FormatError
+from prp_sort.model import Candidate
+from prp_sort.seeding import stable_seed
 
 
 def write(tmp_path, name, text):
@@ -115,7 +120,56 @@ class TestIdTextTsv:
             load_id_text_tsv(path)
 
 
+def reference_synthetic(num_queries, n, master_seed):
+    """The generator as it was written first: one loop per query that builds
+    its own candidates and looks up each position's grade in the cutoffs."""
+    qwidth = max(4, len(str(num_queries)))
+    dwidth = max(4, len(str(n)))
+    docs = [f"d{j:0{dwidth}d}" for j in range(n)]
+    values = [(j + 1) / n for j in range(n)]
+    cutoffs = [((n * pct) // 100, grade) for pct, grade in ((10, 3), (30, 2), (60, 1))]
+    queries = []
+    grades = {}
+    truth = {}
+    for qi in range(1, num_queries + 1):
+        qid = f"q{qi:0{qwidth}d}"
+        shuffled = list(values)
+        Random(stable_seed("synth", master_seed, qid)).shuffle(shuffled)
+        scores = dict(zip(docs, shuffled))
+        truth[qid] = scores
+        by_rank = sorted(docs, key=lambda d: -scores[d])
+        query_grades = {}
+        for position, doc in enumerate(by_rank):
+            grade = 0
+            for cutoff, value in cutoffs:
+                if position < cutoff:
+                    grade = value
+                    break
+            query_grades[doc] = grade
+        grades[qid] = query_grades
+        queries.append(Query(qid=qid, text=None, candidates=[Candidate(doc=d) for d in docs]))
+    return Dataset(queries=queries, grades=grades, ground_truth_scores=truth)
+
+
 class TestSyntheticGenerator:
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 33, 100])
+    def test_equals_the_reference_generator(self, n):
+        for seed in (1, 7, 1729):
+            got = generate_synthetic(4, n, seed)
+            want = reference_synthetic(4, n, seed)
+            assert [(q.qid, q.text, q.candidates) for q in got.queries] == [
+                (q.qid, q.text, q.candidates) for q in want.queries
+            ]
+            # Key order too: reports and sorters read these dicts in order.
+            for field in ("grades", "ground_truth_scores"):
+                mine, theirs = getattr(got, field), getattr(want, field)
+                assert list(mine) == list(theirs)
+                assert [list(m.items()) for m in mine.values()] == [
+                    list(t.items()) for t in theirs.values()
+                ]
+            # The queries share candidates, never a candidate list.
+            assert len({id(q.candidates) for q in got.queries}) == len(got.queries)
+
     def test_deterministic_for_fixed_seed(self):
         a = generate_synthetic(2, 5, master_seed=7)
         b = generate_synthetic(2, 5, master_seed=7)
