@@ -34,11 +34,8 @@ from .oracles import LlmEndpoint, LlmOracle, NoisyOracle, Oracle, ScoreOracle
 from .seeding import stable_seed
 
 # Cells of an llm sweep in flight at once. Each worker thread gets its own
-# malloc arena, so peak RSS grows with the pool. Twelve stay at the RSS that
-# eight took when every call built its prompts as strings, then a JSON str,
-# then its bytes: ``LlmOracle`` now joins each body once from bytes escaped
-# when the cell starts. Sixteen cost about 3 MB more and were not clearly
-# faster on 2 vCPUs (README, "peak RSS").
+# malloc arena, so peak RSS grows with the pool: sixteen cost about 3 MB more
+# than twelve and were not clearly faster on 2 vCPUs (README, "peak RSS").
 LLM_CONCURRENCY = 12
 
 
@@ -381,49 +378,52 @@ def _run_cell(
 def _run_pooled(run_cell: Callable[[int], QueryRow], count: int, workers: int) -> list[QueryRow]:
     """``[run_cell(i) for i in range(count)]``, computed on ``workers`` threads.
 
-    Each worker takes the next index under a lock and writes its row to that
-    index, so the rows keep their serial order. The first exception a cell
+    Each worker takes the next index under the pool's one lock and writes its
+    row to that index, so the rows keep their serial order. The calling
+    thread holds the lock while it starts the workers, so an interrupt that
+    lands then is caught before any cell starts. The first exception a cell
     raises, or an interrupt of the calling thread, stops workers from taking
-    new indices; the cells already running finish, every thread is joined,
-    and the exception is raised.
+    new indices; the cells already running finish, and the exception is
+    raised, an interrupt ahead of a cell's error.
     """
     rows: list[Any] = [None] * count
     indices = iter(range(count))
-    lock = threading.Lock()
-    worker_done = threading.Condition(lock)
+    pool = threading.Condition()
     errors: list[BaseException] = []
-    done = 0
+    running = 0
 
     def work() -> None:
-        nonlocal done
+        nonlocal running
         try:
             while True:
-                with lock:
+                with pool:
                     index = None if errors else next(indices, None)
                 if index is None:
                     return
                 rows[index] = run_cell(index)
         except BaseException as exc:  # raised again by the calling thread
-            with lock:
+            with pool:
                 errors.append(exc)
         finally:
-            with lock:
-                done += 1
-                worker_done.notify()
+            with pool:
+                running -= 1
+                pool.notify()
 
-    threads = [threading.Thread(target=work, name=f"prp-sort-cell-{n}") for n in range(workers)]
-    for thread in threads:
-        thread.start()
     # Wait on the condition, not in Thread.join: on Python 3.11 a Ctrl-C that
-    # interrupts join marks the still running thread as stopped.
-    with worker_done:
-        while done < workers:
+    # interrupts join marks the still running thread as stopped. A worker
+    # whose start() an interrupt cut short is not counted, so ``running`` can
+    # end below 0; that worker takes no cell.
+    with pool:
+        while True:
             try:
-                worker_done.wait()
+                for n in range(0 if errors else workers):
+                    threading.Thread(target=work, name=f"prp-sort-cell-{n}").start()
+                    running += 1
+                while running > 0:
+                    pool.wait()
+                break
             except BaseException as exc:  # e.g. Ctrl-C: start no new cell
                 errors.insert(0, exc)
-    for thread in threads:
-        thread.join()
     if errors:
         raise errors[0]
     return rows

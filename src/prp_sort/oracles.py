@@ -572,33 +572,28 @@ class _Connection:
         self._buf.clear()
 
 
-def llm_compare_batch(
-    endpoint: LlmEndpoint, prompts: Sequence[str], connection: _Connection | None = None
-) -> list[Preference]:
-    """Resolve a batch of rendered prompts as one logical inference call.
+def llm_compare_batch(endpoint: LlmEndpoint, prompts: Sequence[str]) -> list[Preference]:
+    """Resolve a batch of rendered prompts as one logical inference call, on a
+    connection opened for this call and closed after it.
 
-    The POST goes over ``connection`` when one is given; otherwise a
-    connection is opened for this call and closed after it. Transport errors
-    are retried up to endpoint.retries times before raising BackendFailure;
-    HTTP status or payload problems fail immediately. Completions without a
-    recognizable label fall back to FIRST with a ParseFallbackWarning, which
-    keeps long sweeps running.
+    Transport errors are retried up to endpoint.retries times before raising
+    BackendFailure; HTTP status or payload problems fail immediately.
+    Completions without a recognizable label fall back to FIRST with a
+    ParseFallbackWarning, which keeps long sweeps running.
     """
     body = json.dumps({"model": endpoint.model, "prompts": list(prompts)}).encode("utf-8")
-    if connection is not None:
-        return _exchange(endpoint, connection, body, len(prompts))
     connection = _Connection(endpoint)
     try:
-        return _exchange(endpoint, connection, body, len(prompts))
+        return _exchange(connection, body, len(prompts))
     finally:
         connection.close()
 
 
-def _exchange(
-    endpoint: LlmEndpoint, connection: _Connection, body: bytes, count: int
-) -> list[Preference]:
-    """POST a request body of ``count`` prompts and parse its completions into
-    preferences, in order: the one HTTP exchange of every inference call."""
+def _exchange(connection: _Connection, body: bytes, count: int) -> list[Preference]:
+    """POST a request body of ``count`` prompts to the connection's endpoint
+    and parse its completions into preferences, in order: the one HTTP
+    exchange of every inference call."""
+    endpoint = connection.endpoint
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(endpoint.api_key_env, "")
     if api_key:
@@ -644,7 +639,9 @@ class LlmOracle(Oracle):
     Each comparison issues a single-order prompt that names the request's
     first document as Passage A; both orders are never queried for one
     comparison, matching one-inference-per-comparison accounting. All calls
-    share one kept-alive connection, which ``close()`` releases.
+    share one kept-alive connection, which holds the endpoint and which
+    ``close()`` releases. A query without text is rejected when the oracle is
+    built, a passage without text when a call would send it.
 
     The prompt template is split once, when the oracle is built, as
     ``build_prp_prompt`` splits it, and its text, the query and every
@@ -654,7 +651,8 @@ class LlmOracle(Oracle):
     """
 
     def __init__(self, endpoint: LlmEndpoint, query: str, candidates: Iterable[Candidate]):
-        self.endpoint = endpoint
+        if query is None:
+            raise InvalidConfig("the query has no text")
         self.query = query
         template = endpoint.prompt_template
         texts, slots = _template_parts(DEFAULT_PROMPT_TEMPLATE if template is None else template)
@@ -702,7 +700,7 @@ class LlmOracle(Oracle):
                 parts += (pair[side], chunk)
             lead = next_lead
         parts.append(b"]}")
-        return _exchange(self.endpoint, self._connection, b"".join(parts), len(reqs))
+        return _exchange(self._connection, b"".join(parts), len(reqs))
 
     def close(self) -> None:
         self._connection.close()

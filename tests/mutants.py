@@ -29,6 +29,7 @@ NOISY_GOLDEN = ACCEPTANCE + "test_criterion_5_noisy_golden_zero_drift"
 REFERENCE = "tests/test_reference_sorters.py::test_sorters_ask_the_reference_questions"
 EQUIVALENCE = ORACLES + "TestExecutorEquivalence"
 SEQUENCE = ALGORITHMS + "TestQuestionSequence"
+LLM = "tests/test_llm_client.py::"
 
 MUTANTS = [
     # Sorters (algorithms.py).
@@ -176,6 +177,41 @@ MUTANTS = [
             ORACLES + "TestExecutorCache::test_reversed_pair_hits_with_reoriented_winner",
             ACCEPTANCE + "test_criterion_8_noise_degeneracy",
         ),
+    ),
+    # The LLM client (oracles.py).
+    Mutant(
+        "_exchange accepts more completions than prompts",
+        "oracles.py",
+        "len(completions) != count",
+        "len(completions) < count",
+        (LLM + "TestLlmCompareBatch::test_wrong_completion_count_raises_backend_failure",),
+    ),
+    Mutant(
+        "a 304 reply's body read to the close",
+        "oracles.py",
+        "        if status in (204, 304):\n",
+        "        if status in (204,):\n",
+        (LLM + "TestTransport::test_call_after_an_http_error_reuses_the_connection",),
+    ),
+    # The cell pool (experiment.py).
+    Mutant(
+        "a cell's error raised ahead of a Ctrl-C",
+        "experiment.py",
+        "                errors.insert(0, exc)\n",
+        "                errors.append(exc)\n",
+        (LLM + "TestCellPool::test_interrupt_is_raised_ahead_of_a_cell_error",),
+    ),
+    Mutant(
+        "the workers started before the pool's lock is taken",
+        "experiment.py",
+        "    with pool:\n        while True:\n            try:\n"
+        "                for n in range(0 if errors else workers):\n",
+        "    for n in range(workers):\n"
+        '        threading.Thread(target=work, name=f"prp-sort-cell-{n}").start()\n'
+        "        running += 1\n"
+        "    with pool:\n        while True:\n            try:\n"
+        "                for n in range(0):\n",
+        (LLM + "TestCellPool::test_interrupt_while_the_workers_start_stops_the_pool",),
     ),
     # Synthetic data (datasets.py).
     Mutant(

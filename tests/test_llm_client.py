@@ -86,8 +86,9 @@ class TestLlmCompareBatch:
         with pytest.raises(BackendFailure, match="malformed"):
             llm_compare_batch(endpoint_for(server), ["p1"])
 
-    def test_wrong_completion_count_raises_backend_failure(self, server):
-        server.responses.append((200, {"completions": ["Passage A"]}))
+    @pytest.mark.parametrize("completions", [1, 3], ids=["fewer", "more"])
+    def test_wrong_completion_count_raises_backend_failure(self, server, completions):
+        server.responses.append((200, {"completions": ["Passage A"] * completions}))
         with pytest.raises(BackendFailure, match="expected 2 completions"):
             llm_compare_batch(endpoint_for(server), ["p1", "p2"])
 
@@ -198,6 +199,11 @@ class TestLlmOracle:
             with pytest.raises(InvalidConfig, match="candidate 'dX' has no passage text"):
                 oracle.compare(ComparisonRequest("dA", "dX"))
         assert server.requests == []
+
+    def test_query_without_text_is_rejected_when_built(self, server):
+        with pytest.raises(InvalidConfig, match="query has no text"):
+            LlmOracle(endpoint_for(server), None, CANDIDATES)
+        assert server.connections == 0
 
     def test_unknown_doc_is_rejected_before_any_post(self, server):
         with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:
@@ -323,11 +329,12 @@ class TestTransport:
         "response, error",
         [
             ((500, {"error": "boom"}), "HTTP 500"),
-            # No body follows a 204, whatever its headers say; reading to the
-            # close instead would wait out timeout_s.
+            # No body follows a 204 or a 304, whatever its headers say; reading
+            # to the close instead would wait out timeout_s.
             (b"HTTP/1.1 204 No Content\r\n\r\n", "HTTP 204"),
+            (b"HTTP/1.1 304 Not Modified\r\n\r\n", "HTTP 304"),
         ],
-        ids=["500", "204"],
+        ids=["500", "204", "304"],
     )
     def test_call_after_an_http_error_reuses_the_connection(self, server, response, error):
         server.responses.append(response)
@@ -631,6 +638,18 @@ def asks_about(payload, qid):
     return f"Query: {query_text(qid)}\n" in payload["prompts"][0]
 
 
+@pytest.fixture
+def ctrl_c():
+    """A function that sends Ctrl-C to the main thread, as a terminal does.
+
+    A shell starts a background job with SIGINT ignored; Ctrl-C from a
+    terminal raises KeyboardInterrupt, so the fixture installs that handler.
+    """
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    yield lambda: signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+    signal.signal(signal.SIGINT, previous)
+
+
 class TestCellPool:
     """``run_experiment`` runs llm cells LLM_CONCURRENCY at a time."""
 
@@ -748,20 +767,58 @@ class TestCellPool:
             self.run_failing_first_cell(server, tmp_path, monkeypatch, fail, events)
         self.check_stopped(server, events, raised={query_text("q0")})
 
-    def test_interrupt_stops_new_cells(self, server, tmp_path, monkeypatch):
-        def fail():  # Ctrl-C, as a terminal delivers it
-            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-
-        # A shell starts a background job with SIGINT ignored; Ctrl-C from a
-        # terminal raises KeyboardInterrupt, so this test installs that handler.
-        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    def test_interrupt_stops_new_cells(self, server, tmp_path, monkeypatch, ctrl_c):
         events = []
-        try:
-            with pytest.raises(KeyboardInterrupt):
-                self.run_failing_first_cell(server, tmp_path, monkeypatch, fail, events)
-        finally:
-            signal.signal(signal.SIGINT, previous)
+        with pytest.raises(KeyboardInterrupt):
+            self.run_failing_first_cell(server, tmp_path, monkeypatch, ctrl_c, events)
         self.check_stopped(server, events, raised=set())
+
+    def test_interrupt_while_the_workers_start_stops_the_pool(self, monkeypatch, ctrl_c):
+        """Ctrl-C right after the last worker starts: no cell starts after
+        it, and every cell that started ends before it propagates."""
+        workers, starts, events = 4, [], []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            real_start(thread)
+            starts.append(thread)
+            if len(starts) == workers:
+                events.append(("signal", None))
+                ctrl_c()
+
+        def run_cell(index):
+            events.append(("start", index))
+            time.sleep(0.05)
+            events.append(("end", index))
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        with pytest.raises(KeyboardInterrupt):
+            experiment._run_pooled(run_cell, 20, workers)
+        propagated = list(events)
+        assert wait_for(lambda: not any(thread.is_alive() for thread in starts))
+        signalled = events.index(("signal", None))
+        assert all(kind != "start" for kind, _ in events[signalled:])
+        started = sorted(index for kind, index in propagated if kind == "start")
+        assert started == sorted(index for kind, index in propagated if kind == "end")
+
+    def test_interrupt_is_raised_ahead_of_a_cell_error(self, ctrl_c):
+        """Cell 0 fails while cell 1 runs; once cell 0's worker has recorded
+        the error and ended, cell 1 sends Ctrl-C."""
+        failing, second_started = [], threading.Event()
+
+        def run_cell(index):
+            if index == 0:
+                failing.append(threading.current_thread())
+                assert second_started.wait(5.0)
+                raise RuntimeError("not a backend failure")
+            second_started.set()
+            assert wait_for(lambda: failing)
+            failing[0].join(5.0)
+            assert not failing[0].is_alive()
+            ctrl_c()
+
+        with pytest.raises(KeyboardInterrupt):
+            experiment._run_pooled(run_cell, 2, 2)
 
     @pytest.mark.parametrize("kind", ["score", "noisy"])
     def test_score_and_noisy_sweeps_start_no_thread(self, kind, monkeypatch):
