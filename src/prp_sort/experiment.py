@@ -30,13 +30,14 @@ from .datasets import (
 from .errors import BackendFailure, InvalidConfig
 from .metrics import ndcg_at_k
 from .model import Candidate, CostLedger
-from .oracles import LlmEndpoint, LlmOracle, NoisyOracle, Oracle, ScoreOracle
+from .oracles import LlmEndpoint, LlmOracle, NoisyOracle, Oracle, ScoreOracle, _Connection
 from .seeding import stable_seed
 
-# Cells of an llm sweep in flight at once. Each worker thread gets its own
-# malloc arena, so peak RSS grows with the pool: sixteen cost about 3 MB more
-# than twelve and were not clearly faster on 2 vCPUs (README, "peak RSS").
-LLM_CONCURRENCY = 12
+# Cells of an llm sweep in flight at once, and so the most connections the
+# sweep holds. Each worker thread gets its own malloc arena, so peak RSS grows
+# with the pool: on 2 vCPUs fourteen cost 2% more than twelve and sixteen 12%
+# more, for 10% and 17% more cells per second (README, "peak RSS").
+LLM_CONCURRENCY = 14
 
 
 @dataclass(frozen=True)
@@ -330,10 +331,12 @@ def _load_dataset(config: ExperimentConfig) -> Dataset:
     return Dataset(queries, grades, truth)
 
 
-def _build_oracle(config: ExperimentConfig, dataset: Dataset, query) -> Oracle:
+def _build_oracle(
+    config: ExperimentConfig, dataset: Dataset, query, connection: _Connection | None
+) -> Oracle:
     kind = config.oracle.kind
     if kind == "llm":
-        return LlmOracle(config.oracle.endpoint, query.text, query.candidates)
+        return LlmOracle(config.oracle.endpoint, query.text, query.candidates, connection)
     base = ScoreOracle(dataset.ground_truth_scores[query.qid])
     if kind == "score":
         return base
@@ -350,12 +353,14 @@ def _run_cell(
     algo: AlgoConfig,
     columns: dict[str, Any],
     query,
+    connection: _Connection | None = None,
 ) -> QueryRow:
     """Run one (query, algorithm) cell with its own oracle, executor and
-    cache. A backend failure gives a failed row; the oracle is closed however
-    the cell ends."""
+    cache; an ``llm`` oracle sends its calls over ``connection``. A backend
+    failure gives a failed row; the oracle is closed however the cell ends,
+    and leaves ``connection`` open."""
     cell = replace(algo, seed=stable_seed("run", config.master_seed, query.qid))
-    oracle = _build_oracle(config, dataset, query)
+    oracle = _build_oracle(config, dataset, query, connection)
     try:
         ranking, ledger = run_algorithm([c.doc for c in query.candidates], cell, oracle)
     except BackendFailure:
@@ -433,16 +438,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute the full (query x algorithm) sweep and aggregate it.
 
     Each cell gets a fresh executor, cache and oracle, and closes its oracle
-    (for ``llm``, its one HTTP connection) when it ends. Backend failures
-    mark the cell failed and move on; anything structural still raises.
+    when it ends. Backend failures mark the cell failed and move on;
+    anything structural still raises.
 
     ``score`` and ``noisy`` cells run one after another in the calling
     thread. ``llm`` cells spend their time waiting on the backend, so they
-    run ``LLM_CONCURRENCY`` at a time on worker threads, each cell on its own
-    connection. Rows keep the serial order either way (algorithm-major,
-    query-minor), so reports are the same as a serial run's. An exception
-    other than a backend failure stops new cells from starting, lets the
-    running ones finish and close their connections, and is then raised.
+    run ``LLM_CONCURRENCY`` at a time on worker threads. A cell borrows an
+    idle HTTP connection, or opens one when none is idle, and returns it
+    when it ends, so the sweep holds at most ``LLM_CONCURRENCY`` connections
+    and keeps them from cell to cell; it closes them all once every cell
+    has ended, however the sweep ends. Rows keep the serial order either
+    way (algorithm-major, query-minor), so reports are the same as a serial
+    run's. An exception other than a backend failure stops new cells from
+    starting, lets the running ones finish, and is then raised.
     """
     dataset = _load_dataset(config)
     cells = []
@@ -450,13 +458,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         columns = algo.columns()
         cells += [(algo, columns, query) for query in dataset.queries]
     if config.oracle.kind != "llm":
-        rows = [_run_cell(config, dataset, *cell) for cell in cells]
-    else:
-        rows = _run_pooled(
-            lambda index: _run_cell(config, dataset, *cells[index]),
-            len(cells),
-            min(LLM_CONCURRENCY, len(cells)),
-        )
+        return ExperimentReport(rows=[_run_cell(config, dataset, *cell) for cell in cells])
+    idle: list[_Connection] = []
+
+    def run_cell(index: int) -> QueryRow:
+        try:
+            connection = idle.pop()  # one call, so no two cells take the same one
+        except IndexError:
+            connection = _Connection(config.oracle.endpoint)
+        try:
+            return _run_cell(config, dataset, *cells[index], connection)
+        finally:
+            idle.append(connection)
+
+    try:
+        rows = _run_pooled(run_cell, len(cells), min(LLM_CONCURRENCY, len(cells)))
+    finally:
+        for connection in idle:
+            connection.close()
     return ExperimentReport(rows=rows)
 
 

@@ -340,7 +340,8 @@ class _Unanswered(ConnectionError):
 
 
 class _Connection:
-    """One kept-alive HTTP/1.1 connection to an endpoint, reused across calls.
+    """One kept-alive HTTP/1.1 connection to an endpoint, reused across calls
+    and, in a sweep, across the cells that borrow it one after another.
 
     The socket opens on the first POST and reopens after the peer or an
     error closed it. Replies are read through one buffer kept for the
@@ -357,9 +358,10 @@ class _Connection:
         self._target = ""
         self._host = ""
 
-    def post(self, body: bytes, headers: Mapping[str, str]) -> tuple[int, bytes]:
-        """POST ``body`` and read the whole reply, so the connection stays
-        usable whatever its status; returns (status, body).
+    def post(self, parts: Sequence[bytes], headers: Mapping[str, str]) -> tuple[int, bytes]:
+        """POST the body that ``parts`` join into and read the whole reply,
+        so the connection stays usable whatever its status; returns (status,
+        body).
 
         A transport error closes the connection and is retried up to
         endpoint.retries times, each time on a fresh connection. A request
@@ -382,7 +384,7 @@ class _Connection:
                     self.close()
             reused = self._sock is not None
             try:
-                return self._attempt(body, headers)
+                return self._attempt(parts, headers)
             except BaseException as exc:
                 self.close()
                 if not isinstance(exc, (OSError, _HttpError)):
@@ -394,23 +396,21 @@ class _Connection:
                 else:
                     raise BackendFailure(f"POST {self.endpoint.url} failed: {exc}") from exc
 
-    def _attempt(self, body: bytes, headers: Mapping[str, str]) -> tuple[int, bytes]:
+    def _attempt(self, parts: Sequence[bytes], headers: Mapping[str, str]) -> tuple[int, bytes]:
         """One HTTP exchange: open the socket unless one is kept, send the
-        request, read the whole reply; returns (status, body). The socket is
-        kept only if the reply lets it stay open and ended where its framing
-        said."""
+        request in one write, read the whole reply; returns (status, body).
+        The head and the body's ``parts`` are joined once, into the request,
+        so the body is never copied on its own. The socket is kept only if
+        the reply lets it stay open and ended where its framing said."""
         sock = self._sock or self._open()
         head = (
             f"POST {self._target} HTTP/1.1\r\nHost: {self._host}\r\n"
-            f"Accept-Encoding: identity\r\nContent-Length: {len(body)}\r\n"
+            f"Accept-Encoding: identity\r\nContent-Length: {sum(map(len, parts))}\r\n"
             + "".join(f"{name}: {value}\r\n" for name, value in headers.items())
             + "\r\n"
         ).encode("latin-1")
-        # Two sends, not one of head + body: the body can be tens of kB, and
-        # TCP_NODELAY keeps the second send from waiting on the first's ACK.
         try:
-            sock.sendall(head)
-            sock.sendall(body)
+            sock.sendall(b"".join((head, *parts)))
         except OSError as exc:
             raise _Unanswered(str(exc)) from exc
         status, keep_alive, reply_headers = self._read_head()
@@ -574,7 +574,8 @@ class _Connection:
 
 def llm_compare_batch(endpoint: LlmEndpoint, prompts: Sequence[str]) -> list[Preference]:
     """Resolve a batch of rendered prompts as one logical inference call, on a
-    connection opened for this call and closed after it.
+    connection opened for this call and closed after it. The request body is
+    ``json.dumps`` of the model and the prompts, posted as one piece.
 
     Transport errors are retried up to endpoint.retries times before raising
     BackendFailure; HTTP status or payload problems fail immediately.
@@ -584,15 +585,15 @@ def llm_compare_batch(endpoint: LlmEndpoint, prompts: Sequence[str]) -> list[Pre
     body = json.dumps({"model": endpoint.model, "prompts": list(prompts)}).encode("utf-8")
     connection = _Connection(endpoint)
     try:
-        return _exchange(connection, body, len(prompts))
+        return _exchange(connection, [body], len(prompts))
     finally:
         connection.close()
 
 
-def _exchange(connection: _Connection, body: bytes, count: int) -> list[Preference]:
-    """POST a request body of ``count`` prompts to the connection's endpoint
-    and parse its completions into preferences, in order: the one HTTP
-    exchange of every inference call."""
+def _exchange(connection: _Connection, parts: Sequence[bytes], count: int) -> list[Preference]:
+    """POST the request body that ``parts`` join into, of ``count`` prompts,
+    to the connection's endpoint and parse its completions into preferences,
+    in order: the one HTTP exchange of every inference call."""
     endpoint = connection.endpoint
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(endpoint.api_key_env, "")
@@ -600,7 +601,7 @@ def _exchange(connection: _Connection, body: bytes, count: int) -> list[Preferen
         if not _REQUEST_TOKEN.fullmatch(api_key):  # it goes into the request head as is
             raise InvalidConfig(f"{endpoint.api_key_env} must be printable ASCII without spaces")
         headers["Authorization"] = f"Bearer {api_key}"
-    status, data = connection.post(body, headers)
+    status, data = connection.post(parts, headers)
     if status != 200:
         raise BackendFailure(f"POST {endpoint.url} returned HTTP {status}")
     try:
@@ -639,18 +640,27 @@ class LlmOracle(Oracle):
     Each comparison issues a single-order prompt that names the request's
     first document as Passage A; both orders are never queried for one
     comparison, matching one-inference-per-comparison accounting. All calls
-    share one kept-alive connection, which holds the endpoint and which
-    ``close()`` releases. A query without text is rejected when the oracle is
-    built, a passage without text when a call would send it.
+    share one kept-alive connection, which holds the endpoint: ``connection``
+    if one is given, which the caller lent and which ``close()`` leaves open
+    (a sweep's cells borrow theirs this way), else one of the oracle's own,
+    which ``close()`` releases. A query without text is rejected when the
+    oracle is built, a passage without text when a call would send it.
 
     The prompt template is split once, when the oracle is built, as
     ``build_prp_prompt`` splits it, and its text, the query and every
-    passage are JSON-escaped then, once each. A call joins those bytes into
-    its request body, which equals ``llm_compare_batch``'s body for the
-    prompts ``build_prp_prompt`` renders, without building any prompt.
+    passage are JSON-escaped then, once each. A call hands those bytes to
+    the connection as the pieces of its request body, which equals
+    ``llm_compare_batch``'s body for the prompts ``build_prp_prompt``
+    renders, without building any prompt or joining the body on its own.
     """
 
-    def __init__(self, endpoint: LlmEndpoint, query: str, candidates: Iterable[Candidate]):
+    def __init__(
+        self,
+        endpoint: LlmEndpoint,
+        query: str,
+        candidates: Iterable[Candidate],
+        connection: _Connection | None = None,
+    ):
         if query is None:
             raise InvalidConfig("the query has no text")
         self.query = query
@@ -678,7 +688,8 @@ class LlmOracle(Oracle):
         self._passages = {
             cand.doc: None if cand.text is None else _json_chars(cand.text) for cand in candidates
         }
-        self._connection = _Connection(endpoint)
+        self._owned = connection is None
+        self._connection = _Connection(endpoint) if connection is None else connection
 
     def compare(self, req: ComparisonRequest) -> Preference:
         return self.compare_batch([req])[0]
@@ -700,7 +711,8 @@ class LlmOracle(Oracle):
                 parts += (pair[side], chunk)
             lead = next_lead
         parts.append(b"]}")
-        return _exchange(self._connection, b"".join(parts), len(reqs))
+        return _exchange(self._connection, parts, len(reqs))
 
     def close(self) -> None:
-        self._connection.close()
+        if self._owned:
+            self._connection.close()

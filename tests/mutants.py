@@ -30,6 +30,8 @@ REFERENCE = "tests/test_reference_sorters.py::test_sorters_ask_the_reference_que
 EQUIVALENCE = ORACLES + "TestExecutorEquivalence"
 SEQUENCE = ALGORITHMS + "TestQuestionSequence"
 LLM = "tests/test_llm_client.py::"
+POOL = LLM + "TestCellPool::"
+EXPERIMENT = "tests/test_experiment.py::"
 
 MUTANTS = [
     # Sorters (algorithms.py).
@@ -193,6 +195,91 @@ MUTANTS = [
         "        if status in (204,):\n",
         (LLM + "TestTransport::test_call_after_an_http_error_reuses_the_connection",),
     ),
+    Mutant(
+        "the label regex without word boundaries",
+        "oracles.py",
+        '_LABEL = re.compile(r"\\bpassage ([ab])\\b")',
+        '_LABEL = re.compile(r"passage ([ab])")',
+        (ORACLES + "TestLabelParsing::test_labels",),
+    ),
+    Mutant(
+        "an empty Authorization header sent",
+        "oracles.py",
+        "    if api_key:\n        if not _REQUEST_TOKEN.fullmatch(api_key):",
+        "    if True:\n        if api_key and not _REQUEST_TOKEN.fullmatch(api_key):",
+        (LLM + "TestLlmCompareBatch::test_no_auth_header_without_key",),
+    ),
+    Mutant(
+        "the free resend allowed on a fresh connection",
+        "oracles.py",
+        "if reused and resend and isinstance(exc, _Unanswered):",
+        "if resend and isinstance(exc, _Unanswered):",
+        (
+            LLM + "TestLlmCompareBatch::test_transport_failure_is_retried_once",
+            POOL + "test_a_reset_connection_fails_only_its_cell_and_is_reopened_for_the_next",
+        ),
+    ),
+    Mutant(
+        "one retry more than configured",
+        "oracles.py",
+        "        retries = self.endpoint.retries\n",
+        "        retries = self.endpoint.retries + 1\n",
+        (
+            LLM + "TestLlmCompareBatch::test_transport_failure_is_retried_once",
+            LLM + "TestTransport::test_request_dropped_on_a_reused_connection_is_resent_once",
+            LLM + "TestReplyFraming::test_body_cut_short_by_a_close_is_retried_then_fails",
+        ),
+    ),
+    Mutant(
+        "the request head and body sent in two writes",
+        "oracles.py",
+        '            sock.sendall(b"".join((head, *parts)))\n',
+        '            sock.sendall(head)\n            sock.sendall(b"".join(parts))\n',
+        (LLM + "TestRequestBody",),
+    ),
+    Mutant(
+        "a socket kept while unread bytes remain",
+        "oracles.py",
+        "        if not keep_alive or self._buf:\n",
+        "        if not keep_alive:\n",
+        (
+            LLM + "TestReplyFraming::"
+            "test_bytes_past_the_end_of_a_reply_are_not_read_as_the_next_reply",
+        ),
+    ),
+    Mutant(
+        "a clean close inside a reply line accepted",
+        "oracles.py",
+        "                if buf:\n"
+        '                    raise _HttpError("connection closed inside a reply line")\n',
+        "",
+        (LLM + "TestReplyFraming::test_reply_cut_off_by_a_close_is_a_backend_failure",),
+    ),
+    Mutant(
+        "a chunk's line end not checked",
+        "oracles.py",
+        '                if self._line() not in (b"\\r\\n", b"\\n"):\n'
+        '                    raise _HttpError("chunk data not followed by a line end")\n',
+        "                self._line()\n",
+        (LLM + "TestReplyFraming::test_malformed_reply_is_a_backend_failure",),
+    ),
+    Mutant(
+        "NO_PROXY ignored",
+        "oracles.py",
+        "        if proxy and proxy_bypass(url.hostname):\n            proxy = None\n",
+        "",
+        (LLM + "TestTransport::test_no_proxy_bypasses_the_proxy",),
+    ),
+    Mutant(
+        "the cell's oracle closes the borrowed connection",
+        "oracles.py",
+        "        if self._owned:\n            self._connection.close()\n",
+        "        self._connection.close()\n",
+        (
+            POOL + "test_a_full_pool_of_cells_in_flight_each_on_its_own_connection",
+            POOL + "test_a_reset_connection_fails_only_its_cell_and_is_reopened_for_the_next",
+        ),
+    ),
     # The cell pool (experiment.py).
     Mutant(
         "a cell's error raised ahead of a Ctrl-C",
@@ -212,6 +299,45 @@ MUTANTS = [
         "    with pool:\n        while True:\n            try:\n"
         "                for n in range(0):\n",
         (LLM + "TestCellPool::test_interrupt_while_the_workers_start_stops_the_pool",),
+    ),
+    Mutant(
+        "the sweep returns with its connections open",
+        "experiment.py",
+        "        for connection in idle:\n            connection.close()\n",
+        "        pass\n",
+        (
+            LLM + "TestTransport::"
+            "test_run_experiment_keeps_a_connection_per_cell_in_flight_and_closes_them",
+            POOL + "test_other_error_stops_new_cells_and_propagates",
+            POOL + "test_interrupt_stops_new_cells",
+        ),
+    ),
+    # The config, NDCG and the aggregates (experiment.py, metrics.py).
+    Mutant(
+        "the duplicate-label check dropped",
+        "experiment.py",
+        "        if duplicates:\n"
+        '            raise InvalidConfig(f"algorithm entries share the labels {duplicates}")\n',
+        "",
+        (EXPERIMENT + "TestConfigParsing::test_entries_sharing_a_label_rejected",),
+    ),
+    Mutant(
+        "gain_pct divided by the variant's own mean",
+        "experiment.py",
+        "agg.gain_pct = 100.0 * (base - agg.mean_inference_calls) / base\n",
+        "agg.gain_pct = 100.0 * (base - agg.mean_inference_calls) / agg.mean_inference_calls\n",
+        (GOLDEN, EXPERIMENT + "TestRunExperiment::test_aggregates_carry_named_baselines"),
+    ),
+    Mutant(
+        "the ideal ranking of NDCG sorted ascending",
+        "metrics.py",
+        "    ideal = sorted(judged.values(), reverse=True)\n",
+        "    ideal = sorted(judged.values())\n",
+        (
+            GOLDEN,
+            ACCEPTANCE + "test_criterion_7_ndcg_unit_correctness",
+            "tests/test_metrics.py::TestNdcg::test_hand_computed_three_document_case",
+        ),
     ),
     # Synthetic data (datasets.py).
     Mutant(

@@ -225,9 +225,28 @@ templates = st.one_of(
 )
 
 
+class OneReplySocket:
+    """A connected socket stand-in: records each write and answers with
+    ``reply``."""
+
+    def __init__(self, reply):
+        self.writes = []
+        self.reply = reply
+
+    def sendall(self, data):
+        self.writes.append(bytes(data))
+
+    def recv(self, size):
+        data, self.reply = self.reply[:size], self.reply[size:]
+        return data
+
+    def close(self):
+        pass
+
+
 class TestRequestBody:
-    """The body ``LlmOracle`` joins from escaped bytes is the body of its
-    rendered prompts."""
+    """A call's request leaves in one write, whose body, joined from escaped
+    bytes, is the body of the rendered prompts."""
 
     @given(
         model=st.text(max_size=8),
@@ -247,18 +266,18 @@ class TestRequestBody:
         endpoint = LlmEndpoint(
             url="http://backend.invalid/complete", model=model, prompt_template=template
         )
-        bodies = []
-
-        def post(body, headers):
-            bodies.append(body)
-            return 200, json.dumps({"completions": ["Passage B"] * len(reqs)}).encode()
-
+        answer = json.dumps({"completions": ["Passage B"] * len(reqs)}).encode()
+        sock = OneReplySocket(reply(b"HTTP/1.1 200 OK", content_length(answer), body=answer))
         with closing(LlmOracle(endpoint, query, candidates)) as oracle:
-            oracle._connection.post = post
+            connection = oracle._connection
+            connection._open = lambda: setattr(connection, "_sock", sock) or sock
             assert oracle.compare_batch(reqs) == [Preference.SECOND] * len(reqs)
+        [request] = sock.writes
+        head, _, body = request.partition(b"\r\n\r\n")
+        assert b"\r\n" + content_length(body) + b"\r\n" in head + b"\r\n"
         by_doc = {cand.doc: cand for cand in candidates}
         prompts = [build_prp_prompt(query, by_doc[a], by_doc[b], template) for a, b in reqs]
-        assert bodies == [json.dumps({"model": model, "prompts": prompts}).encode()]
+        assert body == json.dumps({"model": model, "prompts": prompts}).encode()
 
 
 def clear_proxies(monkeypatch):
@@ -445,9 +464,10 @@ class TestTransport:
             llm_compare_batch(endpoint, ["p1"])
         assert server.requests == []
 
-    def test_run_experiment_opens_one_connection_per_cell_and_closes_it(
+    def test_run_experiment_keeps_a_connection_per_cell_in_flight_and_closes_them(
         self, server, tmp_path
     ):
+        server.delay_s = 0.05  # every cell starts before the first one ends
         files = {
             "run.txt": "q1 Q0 dA 1 2.0 r\nq1 Q0 dB 2 1.0 r\nq2 Q0 dA 1 2.0 r\nq2 Q0 dC 2 1.0 r\n",
             "qrels.txt": "q1 0 dA 1\nq2 0 dC 1\n",
@@ -470,8 +490,8 @@ class TestTransport:
         report = run_experiment(config)
         assert [row.status for row in report.rows] == ["ok"] * 4
         assert len(server.requests) == sum(row.inference_calls for row in report.rows)
-        assert server.connections == 4
-        assert wait_for(lambda: server.closed == 4)
+        assert server.connections == min(4, experiment.LLM_CONCURRENCY)
+        assert wait_for(lambda: server.closed == server.connections)
 
 
 ANSWER_B = b'{"completions": ["Passage B"]}'
@@ -695,10 +715,42 @@ class TestCellPool:
         assert [row.status for row in report.rows] == ["ok"] * cells
         assert server.peak_in_flight == experiment.LLM_CONCURRENCY
         assert len(server.requests) == sum(row.inference_calls for row in report.rows)
-        assert wait_for(lambda: server.closed == cells)
-        assert server.connections == cells
+        # The two cells after the first full pool reuse connections.
+        assert server.connections == experiment.LLM_CONCURRENCY
+        assert wait_for(lambda: server.closed == server.connections)
+
+    def test_connections_the_server_closes_after_each_reply_cost_no_cell(
+        self, server, tmp_path
+    ):
+        server.close_after_reply = True
+        server.delay_s = 0.01
+        cells = experiment.LLM_CONCURRENCY + 2
+        algorithms = [AlgoConfig(Algorithm.HEAPSORT, k=2)]
+        config = pool_config(server, tmp_path, queries=cells, n=5, algorithms=algorithms)
+        report = run_experiment(config)
+        assert [row.status for row in report.rows] == ["ok"] * cells
+        assert len(server.requests) == sum(row.inference_calls for row in report.rows)
+        assert server.connections == len(server.requests)
+        assert wait_for(lambda: server.closed == server.connections)
+
+    def test_a_reset_connection_fails_only_its_cell_and_is_reopened_for_the_next(
+        self, server, tmp_path
+    ):
+        server.delay_s = 0.02  # every cell starts before the first one ends
+        server.responses.append("reset")  # to the first request, at retries=0
+        pool = experiment.LLM_CONCURRENCY
+        cells = pool + 2
+        algorithms = [AlgoConfig(Algorithm.HEAPSORT, k=1)]
+        config = pool_config(server, tmp_path, queries=cells, n=3, algorithms=algorithms)
+        report = run_experiment(config)
+        assert sorted(row.status for row in report.rows) == ["failed"] + ["ok"] * (cells - 1)
+        # The failed cell ends first, and the cell that starts next takes its
+        # connection, which opens a fresh socket.
+        assert server.connections == pool + 1
+        assert wait_for(lambda: server.closed == server.connections)
 
     def test_backend_failure_fails_only_its_own_cells(self, server, tmp_path):
+        server.delay_s = 0.02  # every cell starts before the first one ends
         server.reply_for = lambda payload: (
             (500, {"error": "boom"}) if asks_about(payload, "q2") else (200, earlier_text_wins)
         )
@@ -711,8 +763,8 @@ class TestCellPool:
             for algo in algorithms
             for q in range(6)
         }
-        assert wait_for(lambda: server.closed == 12)
-        assert server.connections == 12
+        assert server.connections == min(12, experiment.LLM_CONCURRENCY)
+        assert wait_for(lambda: server.closed == server.connections)
 
     def run_failing_first_cell(self, server, tmp_path, monkeypatch, fail, events):
         """Run a sweep of LLM_CONCURRENCY + 5 cells in which the first cell

@@ -29,6 +29,20 @@ def test_script_runs(script):
     assert "2 queries, n=12" in result.stdout
 
 
+def test_cross_python_compares_every_score_and_noisy_report():
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "cross_python.py"), sys.executable, "--queries", "2"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    compared = [line for line in result.stdout.splitlines() if f"({sys.executable})" in line]
+    # Every config is a score or noisy sweep, written as CSV and JSON lines.
+    assert len(compared) == 2 * len(CONFIGS)
+    assert all(line.endswith("  identical") for line in compared)
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.name)
 def test_config_runs(path, tmp_path, capsys):
     labels = [algo.label() for algo in load_config(path).algorithms]
