@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import sys
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Any, Callable, Sequence
 
@@ -127,10 +128,11 @@ class ExperimentConfig:
 @dataclass(slots=True)
 class QueryRow:
     """One (query, algorithm) cell. Cells whose oracle failed carry
-    status='failed' and empty counts; they are excluded from aggregates."""
+    status='failed' and empty counts; they are excluded from aggregates.
+    The fields other than ``config`` are the report's columns, in order."""
 
-    query_id: str
     algorithm: str
+    query_id: str
     status: str
     k: int
     batch_size: int
@@ -356,9 +358,8 @@ def _run_cell(
     connection: _Connection | None = None,
 ) -> QueryRow:
     """Run one (query, algorithm) cell with its own oracle, executor and
-    cache; an ``llm`` oracle sends its calls over ``connection``. A backend
-    failure gives a failed row; the oracle is closed however the cell ends,
-    and leaves ``connection`` open."""
+    cache; an ``llm`` oracle sends its calls over ``connection``, which the
+    cell leaves open. A backend failure gives a failed row."""
     cell = replace(algo, seed=stable_seed("run", config.master_seed, query.qid))
     oracle = _build_oracle(config, dataset, query, connection)
     try:
@@ -368,16 +369,7 @@ def _run_cell(
     else:
         status, counts = "ok", ledger.as_dict()
         ndcg = ndcg_at_k(ranking, dataset.grades, query.qid, config.k)
-    finally:
-        oracle.close()
-    return QueryRow(
-        query_id=query.qid,
-        status=status,
-        ndcg=ndcg,
-        config=algo,
-        **columns,
-        **counts,
-    )
+    return QueryRow(query_id=query.qid, status=status, ndcg=ndcg, config=algo, **columns, **counts)
 
 
 def _run_pooled(run_cell: Callable[[int], QueryRow], count: int, workers: int) -> list[QueryRow]:
@@ -437,17 +429,17 @@ def _run_pooled(run_cell: Callable[[int], QueryRow], count: int, workers: int) -
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Execute the full (query x algorithm) sweep and aggregate it.
 
-    Each cell gets a fresh executor, cache and oracle, and closes its oracle
-    when it ends. Backend failures mark the cell failed and move on;
-    anything structural still raises.
+    Each cell gets a fresh executor, cache and oracle. Backend failures mark
+    the cell failed and move on; anything structural still raises.
 
     ``score`` and ``noisy`` cells run one after another in the calling
     thread. ``llm`` cells spend their time waiting on the backend, so they
     run ``LLM_CONCURRENCY`` at a time on worker threads. A cell borrows an
     idle HTTP connection, or opens one when none is idle, and returns it
     when it ends, so the sweep holds at most ``LLM_CONCURRENCY`` connections
-    and keeps them from cell to cell; it closes them all once every cell
-    has ended, however the sweep ends. Rows keep the serial order either
+    and keeps them from cell to cell. The sweep is the one owner of its
+    connections: it closes them all once every cell has ended, however the
+    sweep ends, and no cell closes one. Rows keep the serial order either
     way (algorithm-major, query-minor), so reports are the same as a serial
     run's. An exception other than a backend failure stops new cells from
     starting, lets the running ones finish, and is then raised.
@@ -479,6 +471,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(rows=rows)
 
 
+def _pstdev(counts: Sequence[int]) -> float:
+    """The population SD of integer counts, the correctly rounded square root
+    of their exact variance (n·Σx² − (Σx)²)/n², as ``statistics.pstdev``
+    gives it from Python 3.11 on; 3.10's can be one ulp off."""
+    n = len(counts)
+    top, bottom = n * sum(x * x for x in counts) - sum(counts) ** 2, n * n
+    # Scale the fraction by 4**-shift to 2·53+3 bits and round its integer
+    # square root to odd; the one rounding to a float, in ldexp, is then correct.
+    shift = (top.bit_length() - bottom.bit_length() - 109) // 2
+    top, bottom = (top, bottom << 2 * shift) if shift >= 0 else (top << -2 * shift, bottom)
+    root = math.isqrt(top // bottom)
+    return math.ldexp(root | (root * root * bottom != top), shift)
+
+
 def compute_aggregates(rows: list[QueryRow]) -> list[AggregateRow]:
     """Aggregate per-query rows per algorithm label, in first-seen order.
 
@@ -486,9 +492,6 @@ def compute_aggregates(rows: list[QueryRow]) -> list[AggregateRow]:
     in mean inference calls over the group with that baseline's label, when
     it is present: positive when the group needs fewer calls.
     """
-    # Loaded here, not at import: only a sweep that aggregates needs it.
-    from statistics import fmean, pstdev
-
     groups: dict[str, list[QueryRow]] = {}
     for row in rows:
         groups.setdefault(row.algorithm, []).append(row)
@@ -497,17 +500,18 @@ def compute_aggregates(rows: list[QueryRow]) -> list[AggregateRow]:
         ok = [r for r in group if r.status == "ok"]
         stats: dict[str, float | None] = {}
         if ok:
+            n = len(ok)
             comparisons = [r.comparisons for r in ok]
             calls = [r.inference_calls for r in ok]
             # Population SD, not sample SD: a row group is a complete query
             # set, and the golden file pins the choice.
             stats = dict(
-                mean_comparisons=fmean(comparisons),
-                sd_comparisons=pstdev(comparisons),
-                mean_inference_calls=fmean(calls),
-                sd_inference_calls=pstdev(calls),
-                mean_cache_hits=fmean(r.cache_hits for r in ok),
-                mean_ndcg=fmean(r.ndcg for r in ok),
+                mean_comparisons=sum(comparisons) / n,
+                sd_comparisons=_pstdev(comparisons),
+                mean_inference_calls=sum(calls) / n,
+                sd_inference_calls=_pstdev(calls),
+                mean_cache_hits=sum(r.cache_hits for r in ok) / n,
+                mean_ndcg=math.fsum(r.ndcg for r in ok) / n,
             )
         aggregates.append(
             AggregateRow(
@@ -532,32 +536,9 @@ def compute_aggregates(rows: list[QueryRow]) -> list[AggregateRow]:
     return aggregates
 
 
-REPORT_COLUMNS = [
-    "kind",
-    "algorithm",
-    "query_id",
-    "status",
-    "k",
-    "batch_size",
-    "pivot",
-    "cached",
-    "partial",
-    "comparisons",
-    "inference_calls",
-    "cache_hits",
-    "batch_groups",
-    "ndcg",
-    "n_queries",
-    "failures",
-    "mean_comparisons",
-    "sd_comparisons",
-    "mean_inference_calls",
-    "sd_inference_calls",
-    "mean_cache_hits",
-    "mean_ndcg",
-    "baseline",
-    "gain_pct",
-]
+# The row kind, the QueryRow columns, then the fields only AggregateRow has.
+REPORT_COLUMNS = ["kind"] + [f.name for f in fields(QueryRow) if f.name != "config"]
+REPORT_COLUMNS += [f.name for f in fields(AggregateRow) if f.name not in REPORT_COLUMNS]
 
 
 def _row_record(row: QueryRow | AggregateRow) -> dict[str, Any]:

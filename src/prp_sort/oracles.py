@@ -51,7 +51,7 @@ class Oracle:
     executor asks a one-request chunk through ``compare`` and a wider one
     through ``compare_batch``, each as one inference call. Defining
     ``compare`` is enough; a subclass that overrides ``compare_batch`` must
-    answer ``compare`` the same way, as ``LlmOracle`` does.
+    answer ``compare`` the same way, as ``LlmOracle`` does. A sweep closes no oracle.
     """
 
     def compare(self, req: ComparisonRequest) -> Preference:
@@ -64,9 +64,6 @@ class Oracle:
         support override this.
         """
         return [self.compare(r) for r in reqs]
-
-    def close(self) -> None:
-        """Release what the oracle holds open; a no-op unless overridden."""
 
 
 class ScoreOracle(Oracle):
@@ -641,10 +638,9 @@ class LlmOracle(Oracle):
     first document as Passage A; both orders are never queried for one
     comparison, matching one-inference-per-comparison accounting. All calls
     share one kept-alive connection, which holds the endpoint: ``connection``
-    if one is given, which the caller lent and which ``close()`` leaves open
-    (a sweep's cells borrow theirs this way), else one of the oracle's own,
-    which ``close()`` releases. A query without text is rejected when the
-    oracle is built, a passage without text when a call would send it.
+    if one is given (a sweep lends each cell one), else a new one. ``close()``
+    closes it; a sweep never calls it. A query or candidate without text is
+    rejected when the oracle is built.
 
     The prompt template is split once, when the oracle is built, as
     ``build_prp_prompt`` splits it, and its text, the query and every
@@ -685,10 +681,11 @@ class LlmOracle(Oracle):
         self._lead = chunks[0]
         self._next_lead = b", " + chunks[0]  # every prompt after the first
         self._layout = tuple(zip(sides, chunks[1:]))
-        self._passages = {
-            cand.doc: None if cand.text is None else _json_chars(cand.text) for cand in candidates
-        }
-        self._owned = connection is None
+        self._passages: dict[DocId, bytes] = {}
+        for cand in candidates:
+            if cand.text is None:
+                raise InvalidConfig(f"candidate {cand.doc!r} has no passage text")
+            self._passages[cand.doc] = _json_chars(cand.text)
         self._connection = _Connection(endpoint) if connection is None else connection
 
     def compare(self, req: ComparisonRequest) -> Preference:
@@ -703,9 +700,6 @@ class LlmOracle(Oracle):
                 pair = (passages[first], passages[second])
             except KeyError as exc:
                 raise InvalidConfig(f"no passage for document {exc.args[0]!r}") from None
-            if pair[0] is None or pair[1] is None:
-                doc = first if pair[0] is None else second
-                raise InvalidConfig(f"candidate {doc!r} has no passage text")
             parts.append(lead)
             for side, chunk in layout:
                 parts += (pair[side], chunk)
@@ -714,5 +708,4 @@ class LlmOracle(Oracle):
         return _exchange(self._connection, parts, len(reqs))
 
     def close(self) -> None:
-        if self._owned:
-            self._connection.close()
+        self._connection.close()

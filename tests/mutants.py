@@ -271,16 +271,25 @@ MUTANTS = [
         (LLM + "TestTransport::test_no_proxy_bypasses_the_proxy",),
     ),
     Mutant(
-        "the cell's oracle closes the borrowed connection",
+        "a candidate without text accepted when built",
         "oracles.py",
-        "        if self._owned:\n            self._connection.close()\n",
-        "        self._connection.close()\n",
+        "            if cand.text is None:\n"
+        '                raise InvalidConfig(f"candidate {cand.doc!r} has no passage text")\n'
+        "            self._passages",
+        "            self._passages",
+        (LLM + "TestLlmOracle::test_candidates_without_text_are_rejected_upfront",),
+    ),
+    # The cell pool (experiment.py).
+    Mutant(
+        "a cell closes the connection it borrowed",
+        "experiment.py",
+        "            idle.append(connection)\n",
+        "            connection.close()\n            idle.append(connection)\n",
         (
             POOL + "test_a_full_pool_of_cells_in_flight_each_on_its_own_connection",
             POOL + "test_a_reset_connection_fails_only_its_cell_and_is_reopened_for_the_next",
         ),
     ),
-    # The cell pool (experiment.py).
     Mutant(
         "a cell's error raised ahead of a Ctrl-C",
         "experiment.py",
@@ -337,6 +346,16 @@ MUTANTS = [
             GOLDEN,
             ACCEPTANCE + "test_criterion_7_ndcg_unit_correctness",
             "tests/test_metrics.py::TestNdcg::test_hand_computed_three_document_case",
+        ),
+    ),
+    Mutant(
+        "an aggregate-only column left out of REPORT_COLUMNS",
+        "experiment.py",
+        "if f.name not in REPORT_COLUMNS]\n",
+        'if f.name not in REPORT_COLUMNS and f.name != "gain_pct"]\n',
+        (
+            "tests/test_api.py::test_readme_report_schema_lists_the_report_columns_in_order",
+            EXPERIMENT + "TestEmission::test_jsonl_round_trip_is_exact",
         ),
     ),
     # Synthetic data (datasets.py).

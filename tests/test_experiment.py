@@ -1,9 +1,13 @@
 import csv
 import json
 import math
-from dataclasses import replace
+import statistics
+import sys
+from dataclasses import asdict, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prp_sort import (
     AlgoConfig,
@@ -24,6 +28,7 @@ from prp_sort.experiment import (
     ExperimentReport,
     FileSource,
     QueryRow,
+    _pstdev,
     compute_aggregates,
 )
 
@@ -148,7 +153,8 @@ class TestRunExperiment:
 
         def row(qid, status, count, ndcg):
             cells = dict.fromkeys(counts, count)
-            return QueryRow(qid, status=status, ndcg=ndcg, config=algo, **algo.columns(), **cells)
+            columns = dict(algo.columns(), **cells)
+            return QueryRow(query_id=qid, status=status, ndcg=ndcg, config=algo, **columns)
 
         rows = [row("q1", "ok", 1, 0.25), row("q2", "failed", None, None), row("q3", "ok", 3, 0.75)]
         [agg] = compute_aggregates(rows)
@@ -156,6 +162,14 @@ class TestRunExperiment:
         assert (agg.mean_comparisons, agg.sd_comparisons) == (2.0, 1.0)  # population SD
         assert (agg.mean_inference_calls, agg.sd_inference_calls) == (2.0, 1.0)
         assert (agg.mean_cache_hits, agg.mean_ndcg) == (2.0, 0.5)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="3.10's pstdev can be one ulp off")
+    @given(counts=st.lists(st.integers(0, 2**64), min_size=1, max_size=300))
+    @settings(max_examples=300, deadline=None)
+    def test_population_sd_is_statistics_pstdev_bit_for_bit(self, counts):
+        sd = _pstdev(counts)
+        assert type(sd) is float
+        assert sd == statistics.pstdev(counts)
 
     def test_cached_bubblesort_costs_fewer_calls_same_comparisons(self):
         report = run_experiment(small_config(master_seed=123))
@@ -542,8 +556,7 @@ class TestEmission:
         assert all(list(record) == REPORT_COLUMNS for record in records)
         tail = records[len(report.rows) :]
         for record, agg in zip(tail, report.aggregates):
-            assert record["kind"] == "aggregate"
-            assert record["mean_inference_calls"] == agg.mean_inference_calls
+            assert record == {**dict.fromkeys(REPORT_COLUMNS), "kind": "aggregate", **asdict(agg)}
 
     def test_emission_is_deterministic(self, tmp_path):
         config = small_config()

@@ -195,10 +195,9 @@ class TestLlmOracle:
 
     def test_candidates_without_text_are_rejected_upfront(self, server):
         candidates = [*CANDIDATES, Candidate("dX")]
-        with closing(LlmOracle(endpoint_for(server), "q", candidates)) as oracle:
-            with pytest.raises(InvalidConfig, match="candidate 'dX' has no passage text"):
-                oracle.compare(ComparisonRequest("dA", "dX"))
-        assert server.requests == []
+        with pytest.raises(InvalidConfig, match="candidate 'dX' has no passage text"):
+            LlmOracle(endpoint_for(server), "q", candidates)
+        assert server.connections == 0
 
     def test_query_without_text_is_rejected_when_built(self, server):
         with pytest.raises(InvalidConfig, match="query has no text"):
