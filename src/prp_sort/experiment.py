@@ -173,12 +173,15 @@ class AggregateRow:
 
 @dataclass
 class ExperimentReport:
-    rows: list[QueryRow]
+    """A sweep's rows and their aggregates, which ``compute_aggregates``
+    computes once, when the report is built. They are not an init argument,
+    so a report cannot be built with the aggregates of other rows."""
 
-    @property
-    def aggregates(self) -> list[AggregateRow]:
-        """The aggregate rows, computed from ``rows`` on every access."""
-        return compute_aggregates(self.rows)
+    rows: list[QueryRow]
+    aggregates: list[AggregateRow] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.aggregates = compute_aggregates(self.rows)
 
 
 _JSON_KINDS = {
@@ -333,22 +336,6 @@ def _load_dataset(config: ExperimentConfig) -> Dataset:
     return Dataset(queries, grades, truth)
 
 
-def _build_oracle(
-    config: ExperimentConfig, dataset: Dataset, query, connection: _Connection | None
-) -> Oracle:
-    kind = config.oracle.kind
-    if kind == "llm":
-        return LlmOracle(config.oracle.endpoint, query.text, query.candidates, connection)
-    base = ScoreOracle(dataset.ground_truth_scores[query.qid])
-    if kind == "score":
-        return base
-    return NoisyOracle(
-        base,
-        config.oracle.flip_probability,
-        stable_seed("noise", config.master_seed, query.qid),
-    )
-
-
 def _run_cell(
     config: ExperimentConfig,
     dataset: Dataset,
@@ -361,7 +348,14 @@ def _run_cell(
     cache; an ``llm`` oracle sends its calls over ``connection``, which the
     cell leaves open. A backend failure gives a failed row."""
     cell = replace(algo, seed=stable_seed("run", config.master_seed, query.qid))
-    oracle = _build_oracle(config, dataset, query, connection)
+    spec = config.oracle
+    if spec.kind == "llm":
+        oracle: Oracle = LlmOracle(spec.endpoint, query.text, query.candidates, connection)
+    else:
+        oracle = ScoreOracle(dataset.ground_truth_scores[query.qid])
+        if spec.kind == "noisy":
+            seed = stable_seed("noise", config.master_seed, query.qid)
+            oracle = NoisyOracle(oracle, spec.flip_probability, seed)
     try:
         ranking, ledger = run_algorithm([c.doc for c in query.candidates], cell, oracle)
     except BackendFailure:
@@ -427,7 +421,8 @@ def _run_pooled(run_cell: Callable[[int], QueryRow], count: int, workers: int) -
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Execute the full (query x algorithm) sweep and aggregate it.
+    """Execute the full (query x algorithm) sweep and aggregate it, once:
+    the report computes its aggregates from the rows when it is built.
 
     Each cell gets a fresh executor, cache and oracle. Backend failures mark
     the cell failed and move on; anything structural still raises.

@@ -321,6 +321,14 @@ MUTANTS = [
             POOL + "test_interrupt_stops_new_cells",
         ),
     ),
+    # A cell's judge (experiment.py).
+    Mutant(
+        "a noisy cell's flips keyed on the run stream",
+        "experiment.py",
+        'seed = stable_seed("noise", config.master_seed, query.qid)',
+        'seed = stable_seed("run", config.master_seed, query.qid)',
+        (NOISY_GOLDEN,),
+    ),
     # The config, NDCG and the aggregates (experiment.py, metrics.py).
     Mutant(
         "the duplicate-label check dropped",

@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 import prp_sort
+from prp_sort import cli, experiment
 from prp_sort.cli import main
+
+COST_MODEL_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "cost_model.json"
 
 
 def write_config(tmp_path, **overrides):
@@ -106,6 +110,28 @@ class TestRun:
             == 0
         )
         assert "quicksort (random, b=128, full)" in out.read_text(encoding="utf-8")
+
+    def test_a_run_aggregates_its_sweep_once(self, tmp_path, capsys, monkeypatch):
+        # The report file and the summary table read one stored aggregation.
+        aggregated, reports = [], []
+        real_aggregates, real_run = experiment.compute_aggregates, cli.run_experiment
+
+        def compute_aggregates(rows):
+            aggregated.append(len(rows))
+            return real_aggregates(rows)
+
+        def run_experiment(config):
+            reports.append(real_run(config))
+            return reports[-1]
+
+        monkeypatch.setattr(experiment, "compute_aggregates", compute_aggregates)
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        out = tmp_path / "report.csv"
+        assert main(["run", "--config", str(COST_MODEL_CONFIG), "--out", str(out)]) == 0
+        assert aggregated == [1600]  # 200 queries x 8 variants, aggregated once
+        [report] = reports
+        assert report.aggregates is report.aggregates
+        assert "gain%" in capsys.readouterr().out
 
     def test_summary_of_an_all_failed_algorithm(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
