@@ -20,7 +20,7 @@ from typing import Any, Iterable, Sequence
 
 from .errors import InvalidConfig
 from .model import _FIRST, _SECOND, CostLedger, DocId
-from .oracles import BatchExecutor, Oracle, _request
+from .oracles import BatchExecutor, Oracle, _asking_pairs
 from .seeding import stable_seed
 
 
@@ -108,10 +108,15 @@ class AlgoConfig:
 
 
 def _entry(
-    algorithm: Algorithm, items: Iterable[DocId], k: int, executor: BatchExecutor | None
-) -> tuple[list[DocId], int, BatchExecutor]:
+    algorithm: Algorithm,
+    items: Iterable[DocId],
+    k: int,
+    oracle: Oracle,
+    executor: BatchExecutor | None,
+) -> tuple[list[DocId], int, Oracle, BatchExecutor]:
     """Check a sorter's executor (a fresh one if None), candidates and k, in
-    that order; returns (the candidates as a list, k clamped to them, executor)."""
+    that order; returns (the candidates as a list, k clamped to them, the
+    oracle to ask plain (first, second) pairs, executor)."""
     executor = BatchExecutor() if executor is None else executor
     _check_executor(algorithm, executor.batch_size, executor.use_cache)
     order = list(items)
@@ -128,7 +133,7 @@ def _entry(
         # stacklevel 3 points the warning at the sorter's caller.
         warnings.warn(f"k={k} exceeds the {n} available items; clamping to {n}", stacklevel=3)
         k = n
-    return order, k, executor
+    return order, k, _asking_pairs(oracle), executor
 
 
 def heapsort_topk(
@@ -146,12 +151,12 @@ def heapsort_topk(
     yet takes no cache. Returns the k extracted ids in extraction order
     (most relevant first).
     """
-    heap, k, executor = _entry(Algorithm.HEAPSORT, items, k, executor)
+    heap, k, oracle, executor = _entry(Algorithm.HEAPSORT, items, k, oracle, executor)
     n = len(heap)
     ask = executor.ask
 
     def beats(i: int, j: int) -> bool:
-        return ask(oracle, _request((heap[i], heap[j]))) is _FIRST
+        return ask(oracle, (heap[i], heap[j])) is _FIRST
 
     def sift_down(i: int, size: int) -> None:
         while True:
@@ -191,13 +196,13 @@ def bubblesort_topk(
     Given a caching executor, the pair sequence, outcomes and ranking are
     identical to the classic run; only the hit/call split differs.
     """
-    order, k, executor = _entry(Algorithm.BUBBLESORT, items, k, executor)
+    order, k, oracle, executor = _entry(Algorithm.BUBBLESORT, items, k, oracle, executor)
     n = len(order)
     ask = executor.ask
     for p in range(k):
         swapped = False
         for i in range(n - 1, p, -1):
-            if ask(oracle, _request((order[i - 1], order[i]))) is _SECOND:
+            if ask(oracle, (order[i - 1], order[i])) is _SECOND:
                 order[i - 1], order[i] = order[i], order[i - 1]
                 swapped = True
         if not swapped:
@@ -234,9 +239,7 @@ def select_pivot(
         return lo
     middle = (lo + hi) // 2
     a, b, c = order[lo], order[middle], order[hi]
-    ab, ac, bc = executor.submit_group(
-        oracle, (_request((a, b)), _request((a, c)), _request((b, c)))
-    )
+    ab, ac, bc = executor.submit_group(_asking_pairs(oracle), ((a, b), (a, c), (b, c)))
     if ab is bc:
         return middle  # b sits between a and c, or the triple is a cycle
     # b beat both or lost to both, so a is the median exactly when its
@@ -261,7 +264,7 @@ def batch_partition(
     """
     pivot_doc = order[pivot_index]
     others = [order[i] for i in range(lo, hi + 1) if i != pivot_index]
-    prefs = executor.submit_group(oracle, [_request((doc, pivot_doc)) for doc in others])
+    prefs = executor.submit_group(_asking_pairs(oracle), [(doc, pivot_doc) for doc in others])
     left = [doc for doc, pref in zip(others, prefs) if pref is _FIRST]
     right = [doc for doc, pref in zip(others, prefs) if pref is _SECOND]
     order[lo : hi + 1] = left + [pivot_doc] + right
@@ -287,7 +290,7 @@ def quicksort_topk(
     only how misses are chunked into calls, so the ranking is invariant
     across batch sizes.
     """
-    order, k, executor = _entry(Algorithm.QUICKSORT, items, k, executor)
+    order, k, oracle, executor = _entry(Algorithm.QUICKSORT, items, k, oracle, executor)
     n = len(order)
     segments = [(0, n - 1)]
     while segments:

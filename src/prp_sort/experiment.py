@@ -125,26 +125,40 @@ class ExperimentConfig:
             raise InvalidConfig(f"algorithm entries share the labels {duplicates}")
 
 
+def _config_column(name: str) -> property:
+    """A QueryRow report column that the row reads from ``config.columns()``."""
+    return property(lambda row: row.config.columns()[name])
+
+
 @dataclass(slots=True)
 class QueryRow:
     """One (query, algorithm) cell. Cells whose oracle failed carry
     status='failed' and empty counts; they are excluded from aggregates.
-    The fields other than ``config`` are the report's columns, in order."""
+
+    The report's columns are the fields other than ``config``, in order,
+    with the five ``_CONFIG_COLUMNS`` after ``status``. A row reads those
+    from its config, which fixes them, rather than storing them: a report
+    holds every row of its sweep, so each stored field adds to its memory."""
 
     algorithm: str
     query_id: str
     status: str
-    k: int
-    batch_size: int
-    pivot: str | None
-    cached: bool
-    partial: bool | None
     comparisons: int | None
     inference_calls: int | None
     cache_hits: int | None
     batch_groups: int | None
     ndcg: float | None
     config: AlgoConfig  # the matrix entry the cell ran; not a report column
+
+    k = _config_column("k")
+    batch_size = _config_column("batch_size")
+    pivot = _config_column("pivot")
+    cached = _config_column("cached")
+    partial = _config_column("partial")
+
+
+# The report columns of a query row that its config fixes, in column order.
+_CONFIG_COLUMNS = ("k", "batch_size", "pivot", "cached", "partial")
 
 
 @dataclass(slots=True)
@@ -340,7 +354,7 @@ def _run_cell(
     config: ExperimentConfig,
     dataset: Dataset,
     algo: AlgoConfig,
-    columns: dict[str, Any],
+    label: str,
     query,
     connection: _Connection | None = None,
 ) -> QueryRow:
@@ -363,7 +377,7 @@ def _run_cell(
     else:
         status, counts = "ok", ledger.as_dict()
         ndcg = ndcg_at_k(ranking, dataset.grades, query.qid, config.k)
-    return QueryRow(query_id=query.qid, status=status, ndcg=ndcg, config=algo, **columns, **counts)
+    return QueryRow(label, query.qid, status, **counts, ndcg=ndcg, config=algo)
 
 
 def _run_pooled(run_cell: Callable[[int], QueryRow], count: int, workers: int) -> list[QueryRow]:
@@ -442,8 +456,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     dataset = _load_dataset(config)
     cells = []
     for algo in config.algorithms:
-        columns = algo.columns()
-        cells += [(algo, columns, query) for query in dataset.queries]
+        label = algo.label()  # one string for the algorithm's rows to share
+        cells += [(algo, label, query) for query in dataset.queries]
     if config.oracle.kind != "llm":
         return ExperimentReport(rows=[_run_cell(config, dataset, *cell) for cell in cells])
     idle: list[_Connection] = []
@@ -533,13 +547,17 @@ def compute_aggregates(rows: list[QueryRow]) -> list[AggregateRow]:
 
 # The row kind, the QueryRow columns, then the fields only AggregateRow has.
 REPORT_COLUMNS = ["kind"] + [f.name for f in fields(QueryRow) if f.name != "config"]
+REPORT_COLUMNS[REPORT_COLUMNS.index("status") + 1 : 0] = _CONFIG_COLUMNS
 REPORT_COLUMNS += [f.name for f in fields(AggregateRow) if f.name not in REPORT_COLUMNS]
 
 
 def _row_record(row: QueryRow | AggregateRow) -> dict[str, Any]:
-    kind = "query" if isinstance(row, QueryRow) else "aggregate"
+    if isinstance(row, QueryRow):
+        kind, fixed = "query", row.config.columns()  # once, not once per column
+    else:
+        kind, fixed = "aggregate", {}
     return {
-        name: kind if name == "kind" else getattr(row, name, None)
+        name: kind if name == "kind" else fixed[name] if name in fixed else getattr(row, name, None)
         for name in REPORT_COLUMNS
     }
 

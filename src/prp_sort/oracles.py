@@ -40,7 +40,7 @@ class ComparisonRequest(NamedTuple):
 
 # ``_request((first, second))`` builds a ComparisonRequest in C, through
 # ``tuple.__new__``; calling the class runs a Python-level ``__new__`` that
-# costs more than a ``ScoreOracle.compare``. The sorters build one per question.
+# costs more than a ``ScoreOracle.compare``. Only ``_Requests`` builds them.
 _request = partial(tuple.__new__, ComparisonRequest)
 
 
@@ -52,6 +52,13 @@ class Oracle:
     through ``compare_batch``, each as one inference call. Defining
     ``compare`` is enough; a subclass that overrides ``compare_batch`` must
     answer ``compare`` the same way, as ``LlmOracle`` does. A sweep closes no oracle.
+
+    The sorters, ``select_pivot`` and ``batch_partition`` hand
+    ``ScoreOracle``, ``NoisyOracle`` and ``LlmOracle`` plain ``(first,
+    second)`` tuples, which are cheaper to build. Every other oracle, a
+    subclass of those three included, gets each request as a
+    ``ComparisonRequest``, whose ``.first`` and ``.second`` it may read,
+    also as the base of a ``NoisyOracle``.
     """
 
     def compare(self, req: ComparisonRequest) -> Preference:
@@ -66,6 +73,30 @@ class Oracle:
         return [self.compare(r) for r in reqs]
 
 
+class _Requests(Oracle):
+    """Hands an oracle not in ``_PAIR_ORACLES`` each plain pair as a
+    ``ComparisonRequest``, one call for each call it gets."""
+
+    def __init__(self, oracle: Oracle):
+        self.oracle = oracle
+
+    def compare(self, req: tuple[DocId, DocId]) -> Preference:
+        return self.oracle.compare(_request(req))
+
+    def compare_batch(self, reqs: Sequence[tuple[DocId, DocId]]) -> list[Preference]:
+        return self.oracle.compare_batch([_request(req) for req in reqs])
+
+
+def _asking_pairs(oracle: Oracle) -> Oracle:
+    """``oracle`` itself if it is an instance of one of this module's oracle
+    classes, which read a request only by unpacking it; else ``oracle``
+    behind ``_Requests``. The test is on the exact class, so a subclass
+    defined elsewhere gets requests, whether or not it overrides ``compare``
+    or ``compare_batch``, while a profiler that wraps a method in place does
+    not change which path a sweep takes."""
+    return oracle if type(oracle) in _PAIR_ORACLES else _Requests(oracle)
+
+
 class ScoreOracle(Oracle):
     """Ground-truth judge over a score map.
 
@@ -76,7 +107,7 @@ class ScoreOracle(Oracle):
     def __init__(self, scores: Mapping[DocId, float]):
         self._scores = dict(scores)
 
-    def compare(self, req: ComparisonRequest) -> Preference:
+    def compare(self, req: tuple[DocId, DocId]) -> Preference:
         a, b = req
         if a == b:
             raise InvalidConfig(f"cannot compare document {a!r} with itself")
@@ -108,9 +139,10 @@ class NoisyOracle(Oracle):
         self.base = base
         self.flip_probability = flip_probability
         self.seed = seed
+        self._ask_base = _asking_pairs(base).compare
 
-    def compare(self, req: ComparisonRequest) -> Preference:
-        answer = self.base.compare(req)
+    def compare(self, req: tuple[DocId, DocId]) -> Preference:
+        answer = self._ask_base(req)
         if self.flip_probability == 0.0:
             return answer
         a, b = req
@@ -129,6 +161,9 @@ class BatchExecutor:
     keeps a run-scoped memo of every answered pair, stored in both
     orientations, so (a, b) and (b, a) share one inference and a repeat is
     answered for free; a group's misses are its size less its cache hits.
+    The memo's keys are the requests as the sorters ask them, plain
+    ``(first, second)`` tuples, each stored with its ``(second, first)``
+    twin; a ``ComparisonRequest`` hashes and compares equal to its tuple.
     """
 
     def __init__(self, batch_size: int = 1, use_cache: bool = False):
@@ -137,12 +172,10 @@ class BatchExecutor:
         self.batch_size = batch_size
         self.use_cache = use_cache
         self.ledger = CostLedger()
-        # A reversed key is a plain (second, first) tuple: it hashes and
-        # compares equal to the ComparisonRequest and is cheaper to build.
         self._memo: dict[tuple[DocId, DocId], Preference] | None = {} if use_cache else None
 
     def submit_group(
-        self, oracle: Oracle, group: Sequence[ComparisonRequest]
+        self, oracle: Oracle, group: Sequence[tuple[DocId, DocId]]
     ) -> list[Preference]:
         """Answer every request in order and charge the ledger.
 
@@ -167,7 +200,7 @@ class BatchExecutor:
                 answers[idx] = pref
         return answers  # type: ignore[return-value]
 
-    def ask(self, oracle: Oracle, req: ComparisonRequest) -> Preference:
+    def ask(self, oracle: Oracle, req: tuple[DocId, DocId]) -> Preference:
         """Answer one request as a group of its own, under ``submit_group``'s
         ledger and memo rules; the oracle's ``compare`` gets ``req`` itself."""
         ledger = self.ledger
@@ -186,7 +219,7 @@ class BatchExecutor:
             memo[(req[1], req[0])] = answer.flipped()
         return answer
 
-    def _resolve(self, oracle: Oracle, misses: Sequence[ComparisonRequest]) -> list[Preference]:
+    def _resolve(self, oracle: Oracle, misses: Sequence[tuple[DocId, DocId]]) -> list[Preference]:
         """Answer one or more misses as one batch group, in chunks of at most
         batch_size: a one-request chunk through ``compare``, a wider one
         through ``compare_batch``. Each chunk is counted as a call, and
@@ -691,10 +724,10 @@ class LlmOracle(Oracle):
             self._passages[cand.doc] = _json_chars(cand.text)
         self._connection = _Connection(endpoint) if connection is None else connection
 
-    def compare(self, req: ComparisonRequest) -> Preference:
+    def compare(self, req: tuple[DocId, DocId]) -> Preference:
         return self.compare_batch([req])[0]
 
-    def compare_batch(self, reqs: Sequence[ComparisonRequest]) -> list[Preference]:
+    def compare_batch(self, reqs: Sequence[tuple[DocId, DocId]]) -> list[Preference]:
         passages, layout, next_lead = self._passages, self._layout, self._next_lead
         parts = [self._head]
         lead = self._lead
@@ -712,3 +745,7 @@ class LlmOracle(Oracle):
 
     def close(self) -> None:
         self._connection.close()
+
+
+# The oracles that take plain (first, second) tuples; see ``_asking_pairs``.
+_PAIR_ORACLES = frozenset({ScoreOracle, NoisyOracle, LlmOracle, _Requests})

@@ -27,6 +27,10 @@ ORACLES = "tests/test_oracles.py::"
 GOLDEN = ACCEPTANCE + "test_criterion_5_golden_values_zero_drift"
 NOISY_GOLDEN = ACCEPTANCE + "test_criterion_5_noisy_golden_zero_drift"
 REFERENCE = "tests/test_reference_sorters.py::test_sorters_ask_the_reference_questions"
+REQUESTS = (
+    "tests/test_reference_sorters.py::"
+    "test_outside_judges_get_requests_and_the_package_judges_plain_tuples"
+)
 EQUIVALENCE = ORACLES + "TestExecutorEquivalence"
 SEQUENCE = ALGORITHMS + "TestQuestionSequence"
 LLM = "tests/test_llm_client.py::"
@@ -77,23 +81,23 @@ MUTANTS = [
     Mutant(
         "heapsort's beats asks (heap[j], heap[i])",
         "algorithms.py",
-        "return ask(oracle, _request((heap[i], heap[j]))) is _FIRST",
-        "return ask(oracle, _request((heap[j], heap[i]))) is _SECOND",
+        "return ask(oracle, (heap[i], heap[j])) is _FIRST",
+        "return ask(oracle, (heap[j], heap[i])) is _SECOND",
         (SEQUENCE, REFERENCE),
     ),
     Mutant(
         "bubblesort asks (order[i], order[i - 1])",
         "algorithms.py",
-        "if ask(oracle, _request((order[i - 1], order[i]))) is _SECOND:",
-        "if ask(oracle, _request((order[i], order[i - 1]))) is _FIRST:",
+        "if ask(oracle, (order[i - 1], order[i])) is _SECOND:",
+        "if ask(oracle, (order[i], order[i - 1])) is _FIRST:",
         (SEQUENCE, REFERENCE),
     ),
     Mutant(
         "the partition asks (pivot, doc)",
         "algorithms.py",
-        "    prefs = executor.submit_group(oracle, [_request((doc, pivot_doc))"
+        "    prefs = executor.submit_group(_asking_pairs(oracle), [(doc, pivot_doc)"
         " for doc in others])\n",
-        "    prefs = executor.submit_group(oracle, [_request((pivot_doc, doc))"
+        "    prefs = executor.submit_group(_asking_pairs(oracle), [(pivot_doc, doc)"
         " for doc in others])\n"
         "    prefs = [pref.flipped() for pref in prefs]\n",
         (SEQUENCE, REFERENCE),
@@ -116,6 +120,27 @@ MUTANTS = [
         (GOLDEN, SEQUENCE, REFERENCE),
     ),
     # Judges and the executor (oracles.py).
+    Mutant(
+        "an outside oracle handed plain pairs",
+        "oracles.py",
+        "    return oracle if type(oracle) in _PAIR_ORACLES else _Requests(oracle)\n",
+        "    return oracle\n",
+        (REQUESTS,),
+    ),
+    Mutant(
+        "the package's own oracles handed ComparisonRequests",
+        "oracles.py",
+        "    return oracle if type(oracle) in _PAIR_ORACLES else _Requests(oracle)\n",
+        "    return _Requests(oracle)\n",
+        (REQUESTS,),
+    ),
+    Mutant(
+        "a noisy judge's outside base handed plain pairs",
+        "oracles.py",
+        "        self._ask_base = _asking_pairs(base).compare\n",
+        "        self._ask_base = base.compare\n",
+        (REQUESTS,),
+    ),
     Mutant(
         "noisy flip keyed on the ordered pair",
         "oracles.py",

@@ -153,8 +153,7 @@ class TestRunExperiment:
 
         def row(qid, status, count, ndcg):
             cells = dict.fromkeys(counts, count)
-            columns = dict(algo.columns(), **cells)
-            return QueryRow(query_id=qid, status=status, ndcg=ndcg, config=algo, **columns)
+            return QueryRow(algo.label(), qid, status, **cells, ndcg=ndcg, config=algo)
 
         rows = [row("q1", "ok", 1, 0.25), row("q2", "failed", None, None), row("q3", "ok", 3, 0.75)]
         [agg] = compute_aggregates(rows)
@@ -498,28 +497,26 @@ class TestEmission:
         assert lines == [",".join(REPORT_COLUMNS)]
 
     def test_single_row_report_is_two_lines(self, tmp_path):
+        algo = AlgoConfig(Algorithm.HEAPSORT, k=3)
         row = QueryRow(
             query_id="q1",
-            algorithm="heapsort",
+            algorithm=algo.label(),
             status="ok",
-            k=3,
-            batch_size=1,
-            pivot=None,
-            cached=False,
-            partial=None,
             comparisons=7,
             inference_calls=7,
             cache_hits=0,
             batch_groups=7,
             ndcg=0.51234,
-            config=AlgoConfig(Algorithm.HEAPSORT, k=3),
+            config=algo,
         )
         report = ExperimentReport(rows=[row])
         path = tmp_path / "one.csv"
         emit_report(report, "csv", str(path))
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3  # header + query row + aggregate row
-        assert lines[1].startswith("query,heapsort,q1,ok")
+        assert lines[1].startswith("query,heapsort,q1,ok,3,1,,false,,7,7,0,7,")
+        descriptors = (row.k, row.batch_size, row.pivot, row.cached, row.partial)
+        assert descriptors == (3, 1, None, False, None)
         assert "0.5123" in lines[1]
 
     def test_csv_round_trip_preserves_values_at_declared_precision(self, tmp_path):

@@ -7,22 +7,32 @@ instances and requires the same groups, in order, orientation and group
 boundaries, and the same ranking. The first document of a pair is Passage A
 of an LLM prompt, so a sorter that asks (b, a) where the reference asks
 (a, b) fails here even though a symmetric judge ranks the same.
+
+A judge defined outside the package is handed ``ComparisonRequest``s, whose
+fields it may read, and the package's own judges plain tuples; the last
+property checks both, and that the two kinds of judge rank and count alike.
 """
 
+import functools
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prp_sort import (
+    BatchExecutor,
     ComparisonRequest,
     NoisyOracle,
+    Oracle,
     PivotStrategy,
     Preference,
     ScoreOracle,
+    batch_partition,
     bubblesort_topk,
     heapsort_topk,
     quicksort_topk,
+    select_pivot,
 )
 from prp_sort.seeding import stable_seed
 from helpers import RecordingExecutor
@@ -134,31 +144,29 @@ def reference_quicksort(items, k, judge, pivot, partial, seed):
 
 def _asked(sort, items, k, judge, executor, **kwargs):
     ranking, _ = sort(items, k, judge, executor, **kwargs)
-    for group in executor.groups:
-        for req in group:
-            # The benchmark's in-process judge reads ``req.first``.
-            assert type(req) is ComparisonRequest, type(req)
     return ranking, executor.groups
 
 
 @st.composite
 def instances(draw):
     """Ids in a random input order, scores with ties (broken by id), a k,
-    and the score or the noisy judge over them."""
+    and a function that puts a base judge under noise or leaves it bare."""
     n = draw(st.integers(1, 30))
     items = draw(st.permutations([f"d{j:02d}" for j in range(n)]))
     scores = dict(zip(items, draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))))
     k = draw(st.integers(1, n))
-    judge = ScoreOracle(scores)
+    noise = lambda base: base  # noqa: E731
     if draw(st.booleans()):
-        judge = NoisyOracle(judge, draw(st.sampled_from([0.1, 0.3])), draw(st.integers(0, 99)))
-    return items, k, judge
+        flip, noise_seed = draw(st.sampled_from([0.1, 0.3])), draw(st.integers(0, 99))
+        noise = functools.partial(NoisyOracle, flip_probability=flip, seed=noise_seed)
+    return items, k, scores, noise
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(instance=instances(), partial=st.booleans(), seed=st.integers(0, 9))
 def test_sorters_ask_the_reference_questions(instance, partial, seed):
-    items, k, judge = instance
+    items, k, scores, noise = instance
+    judge = noise(ScoreOracle(scores))
     expected = reference_heapsort(items, k, judge)
     assert _asked(heapsort_topk, items, k, judge, RecordingExecutor()) == expected
     expected = reference_bubblesort(items, k, judge)
@@ -174,3 +182,54 @@ def test_sorters_ask_the_reference_questions(instance, partial, seed):
             )
             assert asked == expected, (pivot, batch_size)
 
+
+class _FieldJudge(Oracle):
+    """A judge defined outside the package that reads ``req.first`` and
+    ``req.second``, as the benchmark's in-process judge does, and answers
+    as ``ScoreOracle`` does over the same scores."""
+
+    def __init__(self, scores):
+        self.score = ScoreOracle(scores)
+        self.types = set()
+
+    def compare(self, req):
+        self.types.add(type(req))
+        return self.score.compare((req.first, req.second))
+
+
+def _runs(judge, items, k, partial, seed):
+    """(ranking, ledger) of every sorter variant, then the pivot and the
+    partition of ``select_pivot`` and ``batch_partition`` called directly."""
+    results = [heapsort_topk(items, k, judge)]
+    for cached in (False, True):
+        results.append(bubblesort_topk(items, k, judge, BatchExecutor(use_cache=cached)))
+    for pivot in PivotStrategy:
+        for batch_size in (1, 3):
+            executor = BatchExecutor(batch_size)
+            args = dict(pivot=pivot, partial=partial, seed=seed)
+            results.append(quicksort_topk(items, k, judge, executor, **args))
+    order, hi, executor = list(items), len(items) - 1, BatchExecutor(2)
+    at = select_pivot(order, 0, hi, PivotStrategy.MEDIAN_OF_THREE, seed, executor, judge)
+    results.append((at, batch_partition(order, 0, hi, at, executor, judge), order, executor.ledger))
+    return results
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(instance=instances(), partial=st.booleans(), seed=st.integers(0, 9))
+def test_outside_judges_get_requests_and_the_package_judges_plain_tuples(instance, partial, seed):
+    items, k, scores, noise = instance
+    score_types = set()
+    original = ScoreOracle.compare
+
+    def spy(self, req):
+        score_types.add(type(req))
+        return original(self, req)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ScoreOracle, "compare", spy)
+        outside = _FieldJudge(scores)
+        expected = _runs(noise(ScoreOracle(scores)), items, k, partial, seed)
+        assert _runs(noise(outside), items, k, partial, seed) == expected
+    asked = len(items) > 1
+    assert outside.types == ({ComparisonRequest} if asked else set())
+    assert score_types == ({tuple} if asked else set())
