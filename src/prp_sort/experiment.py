@@ -16,9 +16,10 @@ import json
 import math
 import sys
 import threading
+from contextlib import closing
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from .algorithms import Algorithm, AlgoConfig, PivotStrategy, run_algorithm
 from .datasets import (
@@ -34,10 +35,11 @@ from .model import Candidate, CostLedger
 from .oracles import LlmEndpoint, LlmOracle, NoisyOracle, Oracle, ScoreOracle, _Connection
 from .seeding import stable_seed
 
-# Cells of an llm sweep in flight at once, and so the most connections the
-# sweep holds. Each worker thread gets its own malloc arena, so peak RSS grows
-# with the pool: on 2 vCPUs fourteen cost 2% more than twelve and sixteen 12%
-# more, for 10% and 17% more cells per second (README, "peak RSS").
+# Workers of an llm sweep, and so its cells in flight at once and the
+# connections it holds, one per worker. Each worker thread gets its own malloc
+# arena, so peak RSS grows with the pool: on 2 vCPUs fourteen cost 2% more
+# than twelve and sixteen 12% more, for 10% and 17% more cells per second
+# (README, "peak RSS").
 LLM_CONCURRENCY = 14
 
 
@@ -356,7 +358,7 @@ def _run_cell(
     algo: AlgoConfig,
     label: str,
     query,
-    connection: _Connection | None = None,
+    connection: _Connection,
 ) -> QueryRow:
     """Run one (query, algorithm) cell with its own oracle, executor and
     cache; an ``llm`` oracle sends its calls over ``connection``, which the
@@ -380,19 +382,25 @@ def _run_cell(
     return QueryRow(label, query.qid, status, **counts, ndcg=ndcg, config=algo)
 
 
-def _run_pooled(run_cell: Callable[[int], QueryRow], count: int, workers: int) -> list[QueryRow]:
-    """``[run_cell(i) for i in range(count)]``, computed on ``workers`` threads.
+def _run_pooled(
+    config: ExperimentConfig, dataset: Dataset, cells: list[tuple], workers: int
+) -> list[QueryRow]:
+    """``[_run_cell(config, dataset, *cell, connection) for cell in cells]``,
+    computed on ``workers`` threads.
 
-    Each worker takes the next index under the pool's one lock and writes its
-    row to that index, so the rows keep their serial order. The calling
-    thread holds the lock while it starts the workers, so an interrupt that
-    lands then is caught before any cell starts. The first exception a cell
-    raises, or an interrupt of the calling thread, stops workers from taking
-    new indices; the cells already running finish, and the exception is
-    raised, an interrupt ahead of a cell's error.
+    Each worker makes one connection to the sweep's endpoint, hands it to
+    every cell it runs and closes it when it ends. The socket opens on the
+    first POST, so a ``score`` or ``noisy`` worker never opens one. A worker
+    takes the next cell under the pool's one lock and writes its row to that
+    cell's index, so the rows keep their serial order. The calling thread
+    holds the lock while it starts the workers, so an interrupt that lands
+    then is caught before any cell starts. The first exception a cell raises,
+    or an interrupt of the calling thread, stops workers from taking new
+    cells; the cells already running finish, and the exception is raised, an
+    interrupt ahead of a cell's error.
     """
-    rows: list[Any] = [None] * count
-    indices = iter(range(count))
+    rows: list[Any] = [None] * len(cells)
+    indices = iter(range(len(cells)))
     pool = threading.Condition()
     errors: list[BaseException] = []
     running = 0
@@ -400,12 +408,13 @@ def _run_pooled(run_cell: Callable[[int], QueryRow], count: int, workers: int) -
     def work() -> None:
         nonlocal running
         try:
-            while True:
-                with pool:
-                    index = None if errors else next(indices, None)
-                if index is None:
-                    return
-                rows[index] = run_cell(index)
+            with closing(_Connection(config.oracle.endpoint)) as connection:
+                while True:
+                    with pool:
+                        index = None if errors else next(indices, None)
+                    if index is None:
+                        return
+                    rows[index] = _run_cell(config, dataset, *cells[index], connection)
         except BaseException as exc:  # raised again by the calling thread
             with pool:
                 errors.append(exc)
@@ -441,43 +450,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     Each cell gets a fresh executor, cache and oracle. Backend failures mark
     the cell failed and move on; anything structural still raises.
 
-    ``score`` and ``noisy`` cells run one after another in the calling
-    thread. ``llm`` cells spend their time waiting on the backend, so they
-    run ``LLM_CONCURRENCY`` at a time on worker threads. A cell borrows an
-    idle HTTP connection, or opens one when none is idle, and returns it
-    when it ends, so the sweep holds at most ``LLM_CONCURRENCY`` connections
-    and keeps them from cell to cell. The sweep is the one owner of its
-    connections: it closes them all once every cell has ended, however the
-    sweep ends, and no cell closes one. Rows keep the serial order either
-    way (algorithm-major, query-minor), so reports are the same as a serial
-    run's. An exception other than a backend failure stops new cells from
-    starting, lets the running ones finish, and is then raised.
+    Every sweep runs on the cell pool, ``_run_pooled``. ``score`` and
+    ``noisy`` cells are CPU-bound, so they run on one worker. ``llm`` cells
+    spend their time waiting on the backend, so ``LLM_CONCURRENCY`` of them
+    run at a time. Each worker owns one HTTP connection for the sweep: it
+    sends every cell it runs over it and closes it when it ends, however the
+    sweep ends. Rows keep the serial order (algorithm-major, query-minor), so
+    reports are the same as a serial run's. An exception other than a backend
+    failure, or Ctrl-C, stops new cells from starting, lets the running ones
+    finish, and is then raised.
     """
     dataset = _load_dataset(config)
     cells = []
     for algo in config.algorithms:
         label = algo.label()  # one string for the algorithm's rows to share
         cells += [(algo, label, query) for query in dataset.queries]
-    if config.oracle.kind != "llm":
-        return ExperimentReport(rows=[_run_cell(config, dataset, *cell) for cell in cells])
-    idle: list[_Connection] = []
-
-    def run_cell(index: int) -> QueryRow:
-        try:
-            connection = idle.pop()  # one call, so no two cells take the same one
-        except IndexError:
-            connection = _Connection(config.oracle.endpoint)
-        try:
-            return _run_cell(config, dataset, *cells[index], connection)
-        finally:
-            idle.append(connection)
-
-    try:
-        rows = _run_pooled(run_cell, len(cells), min(LLM_CONCURRENCY, len(cells)))
-    finally:
-        for connection in idle:
-            connection.close()
-    return ExperimentReport(rows=rows)
+    workers = min(LLM_CONCURRENCY, len(cells)) if config.oracle.kind == "llm" else 1
+    return ExperimentReport(rows=_run_pooled(config, dataset, cells, workers))
 
 
 def _pstdev(counts: Sequence[int]) -> float:

@@ -371,7 +371,7 @@ class _Unanswered(ConnectionError):
 
 class _Connection:
     """One kept-alive HTTP/1.1 connection to an endpoint, reused across calls
-    and, in a sweep, across the cells that borrow it one after another.
+    and, in a sweep, across the cells of the one worker that owns it.
 
     The socket opens on the first POST and reopens after the peer or an
     error closed it. Replies are read through one buffer kept for the
@@ -671,8 +671,8 @@ class LlmOracle(Oracle):
     first document as Passage A; both orders are never queried for one
     comparison, matching one-inference-per-comparison accounting. All calls
     share one kept-alive connection, which holds the endpoint: ``connection``
-    if one is given (a sweep lends each cell one), else a new one. ``close()``
-    closes it; a sweep never calls it. A query or candidate without text is
+    if one is given (a sweep's worker hands it to each cell it runs), else a
+    new one. ``close()`` closes it; a sweep never calls it. A query or candidate without text is
     rejected when the oracle is built.
 
     The prompt template is split once, when the oracle is built, as

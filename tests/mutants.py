@@ -306,14 +306,22 @@ MUTANTS = [
     ),
     # The cell pool (experiment.py).
     Mutant(
-        "a cell closes the connection it borrowed",
+        "a worker closes its connection after each cell",
         "experiment.py",
-        "            idle.append(connection)\n",
-        "            connection.close()\n            idle.append(connection)\n",
+        "rows[index] = _run_cell(config, dataset, *cells[index], connection)\n",
+        "rows[index] = _run_cell(config, dataset, *cells[index], connection)\n"
+        "                    connection.close()\n",
         (
             POOL + "test_a_full_pool_of_cells_in_flight_each_on_its_own_connection",
             POOL + "test_a_reset_connection_fails_only_its_cell_and_is_reopened_for_the_next",
         ),
+    ),
+    Mutant(
+        "a worker makes a connection per cell",
+        "experiment.py",
+        "*cells[index], connection)\n",
+        "*cells[index], _Connection(config.oracle.endpoint))\n",
+        (POOL + "test_a_full_pool_of_cells_in_flight_each_on_its_own_connection",),
     ),
     Mutant(
         "a cell's error raised ahead of a Ctrl-C",
@@ -335,16 +343,23 @@ MUTANTS = [
         (LLM + "TestCellPool::test_interrupt_while_the_workers_start_stops_the_pool",),
     ),
     Mutant(
-        "the sweep returns with its connections open",
+        "a worker ends with its connection open",
         "experiment.py",
-        "        for connection in idle:\n            connection.close()\n",
-        "        pass\n",
+        "with closing(_Connection(config.oracle.endpoint)) as connection:",
+        "for connection in [_Connection(config.oracle.endpoint)]:",
         (
             LLM + "TestTransport::"
             "test_run_experiment_keeps_a_connection_per_cell_in_flight_and_closes_them",
             POOL + "test_other_error_stops_new_cells_and_propagates",
             POOL + "test_interrupt_stops_new_cells",
         ),
+    ),
+    Mutant(
+        "a score sweep runs on LLM_CONCURRENCY workers",
+        "experiment.py",
+        ' if config.oracle.kind == "llm" else 1\n',
+        ' if config.oracle.kind == "llm" else LLM_CONCURRENCY\n',
+        (POOL + "test_score_and_noisy_sweeps_run_on_one_worker",),
     ),
     # A cell's judge (experiment.py).
     Mutant(

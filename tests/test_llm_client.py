@@ -657,6 +657,16 @@ def asks_about(payload, qid):
     return f"Query: {query_text(qid)}\n" in payload["prompts"][0]
 
 
+def score_config(kind="score"):
+    """A sweep of one heapsort entry over six synthetic queries."""
+    return ExperimentConfig(
+        dataset=SyntheticSpec(num_queries=6, n=8),
+        algorithms=[AlgoConfig(Algorithm.HEAPSORT, k=3)],
+        oracle=OracleSpec(kind=kind, flip_probability=0.1),
+        k=3,
+    )
+
+
 @pytest.fixture
 def ctrl_c():
     """A function that sends Ctrl-C to the main thread, as a terminal does.
@@ -670,7 +680,8 @@ def ctrl_c():
 
 
 class TestCellPool:
-    """``run_experiment`` runs llm cells LLM_CONCURRENCY at a time."""
+    """``run_experiment`` runs every sweep on the cell pool: llm cells
+    LLM_CONCURRENCY at a time, score and noisy cells on one worker."""
 
     def test_pooled_sweep_equals_the_serial_one(self, server, tmp_path, monkeypatch):
         server.reply_for = lambda payload: (200, earlier_text_wins)
@@ -743,8 +754,8 @@ class TestCellPool:
         config = pool_config(server, tmp_path, queries=cells, n=3, algorithms=algorithms)
         report = run_experiment(config)
         assert sorted(row.status for row in report.rows) == ["failed"] + ["ok"] * (cells - 1)
-        # The failed cell ends first, and the cell that starts next takes its
-        # connection, which opens a fresh socket.
+        # The failed cell ends first, and its worker runs the next cell over
+        # its connection, which opens a fresh socket.
         assert server.connections == pool + 1
         assert wait_for(lambda: server.closed == server.connections)
 
@@ -838,14 +849,16 @@ class TestCellPool:
                 events.append(("signal", None))
                 ctrl_c()
 
-        def run_cell(index):
+        def run_cell(config, dataset, algo, label, index, connection):
             events.append(("start", index))
             time.sleep(0.05)
             events.append(("end", index))
 
         monkeypatch.setattr(threading.Thread, "start", start)
+        monkeypatch.setattr(experiment, "_run_cell", run_cell)
+        cells = [(None, None, index) for index in range(20)]
         with pytest.raises(KeyboardInterrupt):
-            experiment._run_pooled(run_cell, 20, workers)
+            experiment._run_pooled(score_config(), None, cells, workers)
         propagated = list(events)
         assert wait_for(lambda: not any(thread.is_alive() for thread in starts))
         signalled = events.index(("signal", None))
@@ -853,12 +866,12 @@ class TestCellPool:
         started = sorted(index for kind, index in propagated if kind == "start")
         assert started == sorted(index for kind, index in propagated if kind == "end")
 
-    def test_interrupt_is_raised_ahead_of_a_cell_error(self, ctrl_c):
+    def test_interrupt_is_raised_ahead_of_a_cell_error(self, monkeypatch, ctrl_c):
         """Cell 0 fails while cell 1 runs; once cell 0's worker has recorded
         the error and ended, cell 1 sends Ctrl-C."""
         failing, second_started = [], threading.Event()
 
-        def run_cell(index):
+        def run_cell(config, dataset, algo, label, index, connection):
             if index == 0:
                 failing.append(threading.current_thread())
                 assert second_started.wait(5.0)
@@ -869,19 +882,47 @@ class TestCellPool:
             assert not failing[0].is_alive()
             ctrl_c()
 
+        monkeypatch.setattr(experiment, "_run_cell", run_cell)
+        cells = [(None, None, index) for index in range(2)]
         with pytest.raises(KeyboardInterrupt):
-            experiment._run_pooled(run_cell, 2, 2)
+            experiment._run_pooled(score_config(), None, cells, 2)
 
     @pytest.mark.parametrize("kind", ["score", "noisy"])
-    def test_score_and_noisy_sweeps_start_no_thread(self, kind, monkeypatch):
-        def no_thread(*args, **kwargs):
-            raise AssertionError(f"a {kind} sweep started a thread")
+    def test_score_and_noisy_sweeps_run_on_one_worker(self, kind, monkeypatch):
+        names = []
+        real_start = threading.Thread.start
 
-        monkeypatch.setattr(experiment.threading, "Thread", no_thread)
-        config = ExperimentConfig(
-            dataset=SyntheticSpec(num_queries=6, n=8),
-            algorithms=[AlgoConfig(Algorithm.HEAPSORT, k=3)],
-            oracle=OracleSpec(kind=kind, flip_probability=0.1),
-            k=3,
-        )
-        assert [row.status for row in run_experiment(config).rows] == ["ok"] * 6
+        def start(thread):
+            names.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        config = score_config(kind)
+        rows = run_experiment(config).rows
+        assert names == ["prp-sort-cell-0"]
+        dataset = experiment._load_dataset(config)
+        algo = config.algorithms[0]
+        assert rows == [
+            experiment._run_cell(config, dataset, algo, algo.label(), query, None)
+            for query in dataset.queries
+        ]
+        assert [row.status for row in rows] == ["ok"] * 6
+
+    def test_interrupt_stops_a_score_sweep_at_a_cell_boundary(self, monkeypatch, ctrl_c):
+        events = []
+        real_run_algorithm = experiment.run_algorithm
+
+        def run_algorithm(docs, cell, oracle):
+            events.append("start")
+            result = real_run_algorithm(docs, cell, oracle)
+            if events.count("start") == 3:
+                events.append("signal")
+                ctrl_c()
+                time.sleep(0.3)  # the calling thread records the interrupt
+            events.append("end")
+            return result
+
+        monkeypatch.setattr(experiment, "run_algorithm", run_algorithm)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(score_config())
+        assert events == ["start", "end"] * 2 + ["start", "signal", "end"]
