@@ -39,7 +39,7 @@ from .seeding import stable_seed
 # connections it holds, one per worker. Each worker thread gets its own malloc
 # arena, so peak RSS grows with the pool: on 2 vCPUs fourteen cost 2% more
 # than twelve and sixteen 12% more, for 10% and 17% more cells per second
-# (README, "peak RSS").
+# (README, "LLM backend").
 LLM_CONCURRENCY = 14
 
 
@@ -361,12 +361,13 @@ def _run_cell(
     connection: _Connection,
 ) -> QueryRow:
     """Run one (query, algorithm) cell with its own oracle, executor and
-    cache; an ``llm`` oracle sends its calls over ``connection``, which the
-    cell leaves open. A backend failure gives a failed row."""
+    cache. An ``llm`` oracle is built on ``connection``, the worker's, and
+    sends every call over it; the cell leaves it open for the worker to
+    close. A backend failure gives a failed row."""
     cell = replace(algo, seed=stable_seed("run", config.master_seed, query.qid))
     spec = config.oracle
     if spec.kind == "llm":
-        oracle: Oracle = LlmOracle(spec.endpoint, query.text, query.candidates, connection)
+        oracle: Oracle = LlmOracle(connection, query.text, query.candidates)
     else:
         oracle = ScoreOracle(dataset.ground_truth_scores[query.qid])
         if spec.kind == "noisy":

@@ -19,7 +19,7 @@ import threading
 import urllib.parse
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from random import Random
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
@@ -28,6 +28,7 @@ from .model import _FIRST, _SECOND, Candidate, CostLedger, DocId, Preference
 from .seeding import stable_seed
 
 if TYPE_CHECKING:
+    import select
     import socket
 
 
@@ -38,12 +39,6 @@ class ComparisonRequest(NamedTuple):
     second: DocId
 
 
-# ``_request((first, second))`` builds a ComparisonRequest in C, through
-# ``tuple.__new__``; calling the class runs a Python-level ``__new__`` that
-# costs more than a ``ScoreOracle.compare``. Only ``_Requests`` builds them.
-_request = partial(tuple.__new__, ComparisonRequest)
-
-
 class Oracle:
     """Answers pairwise relevance questions.
 
@@ -51,7 +46,8 @@ class Oracle:
     executor asks a one-request chunk through ``compare`` and a wider one
     through ``compare_batch``, each as one inference call. Defining
     ``compare`` is enough; a subclass that overrides ``compare_batch`` must
-    answer ``compare`` the same way, as ``LlmOracle`` does. A sweep closes no oracle.
+    answer ``compare`` the same way, as ``LlmOracle`` does. An oracle holds
+    nothing to close: ``LlmOracle`` sends over a connection its caller owns.
 
     The sorters, ``select_pivot`` and ``batch_partition`` hand
     ``ScoreOracle``, ``NoisyOracle`` and ``LlmOracle`` plain ``(first,
@@ -81,10 +77,10 @@ class _Requests(Oracle):
         self.oracle = oracle
 
     def compare(self, req: tuple[DocId, DocId]) -> Preference:
-        return self.oracle.compare(_request(req))
+        return self.oracle.compare(ComparisonRequest(*req))
 
     def compare_batch(self, reqs: Sequence[tuple[DocId, DocId]]) -> list[Preference]:
-        return self.oracle.compare_batch([_request(req) for req in reqs])
+        return self.oracle.compare_batch([ComparisonRequest(*req) for req in reqs])
 
 
 def _asking_pairs(oracle: Oracle) -> Oracle:
@@ -371,19 +367,23 @@ class _Unanswered(ConnectionError):
 
 class _Connection:
     """One kept-alive HTTP/1.1 connection to an endpoint, reused across calls
-    and, in a sweep, across the cells of the one worker that owns it.
+    and, in a sweep, across the cells of the one worker that owns it. It
+    holds the endpoint, and whoever makes it closes it: a sweep's worker, or
+    ``llm_compare_batch`` for its one call. An ``LlmOracle`` only sends over it.
 
     The socket opens on the first POST and reopens after the peer or an
-    error closed it. Replies are read through one buffer kept for the
-    socket's life. Proxies come from the environment (``HTTP_PROXY``,
-    ``HTTPS_PROXY``, ``NO_PROXY``), read each time the socket opens: an
-    ``http`` URL is sent to the proxy with the absolute URL as the target,
-    an ``https`` URL is tunnelled through it with CONNECT.
+    error closed it; a kept socket is polled for input before each POST,
+    whatever its descriptor's number. Replies are read through one buffer
+    kept for the socket's life. Proxies come from the environment
+    (``HTTP_PROXY``, ``HTTPS_PROXY``, ``NO_PROXY``), read each time the
+    socket opens: an ``http`` URL is sent to the proxy with the absolute URL
+    as the target, an ``https`` URL is tunnelled through it with CONNECT.
     """
 
     def __init__(self, endpoint: LlmEndpoint):
         self.endpoint = endpoint
         self._sock: socket.socket | None = None  # open; carried a reply, if any, that kept it
+        self._poll: select.poll | None = None  # polls ``_sock`` for input; made when it opens
         self._buf = bytearray()  # received and not yet read
         self._target = ""
         self._host = ""
@@ -405,13 +405,8 @@ class _Connection:
         while True:
             # An idle socket that reads ready was closed by the peer, or holds
             # bytes that no request of ours asked for.
-            if self._sock is not None:
-                # Loaded here, not at import, as in ``_open``: only a program
-                # that has opened a connection polls one.
-                import select
-
-                if select.select([self._sock], [], [], 0)[0]:
-                    self.close()
+            if self._sock is not None and self._poll.poll(0):  # type: ignore[union-attr]
+                self.close()
             reused = self._sock is not None
             try:
                 return self._attempt(parts, headers)
@@ -452,9 +447,10 @@ class _Connection:
     def _open(self) -> socket.socket:
         """Connect to the endpoint, or to its proxy, and keep the socket."""
         url, port, origin, target = _url_parts(self.endpoint.url)  # checked with the endpoint
-        # Loaded here, not at import: socket, and urllib.request, which pulls
-        # in http.client, email and ssl; a program that opens no connection
-        # needs none of them.
+        # Loaded here, not at import: select, socket, and urllib.request,
+        # which pulls in http.client, email and ssl; a program that opens no
+        # connection needs none of them.
+        import select
         import socket
         from urllib.request import getproxies, proxy_bypass
 
@@ -488,6 +484,9 @@ class _Connection:
             context = ssl.create_default_context()
             context.set_alpn_protocols(["http/1.1"])
             sock = self._sock = context.wrap_socket(sock, server_hostname=url.hostname)
+        # poll, unlike select(), takes a descriptor of any number, 1024 and up too.
+        self._poll = select.poll()
+        self._poll.register(sock, select.POLLIN)
         return sock
 
     def _tunnel(self, sock: socket.socket, origin: str) -> None:
@@ -669,11 +668,11 @@ class LlmOracle(Oracle):
 
     Each comparison issues a single-order prompt that names the request's
     first document as Passage A; both orders are never queried for one
-    comparison, matching one-inference-per-comparison accounting. All calls
-    share one kept-alive connection, which holds the endpoint: ``connection``
-    if one is given (a sweep's worker hands it to each cell it runs), else a
-    new one. ``close()`` closes it; a sweep never calls it. A query or candidate without text is
-    rejected when the oracle is built.
+    comparison, matching one-inference-per-comparison accounting. Every call
+    goes over ``connection``, and the oracle reads the model and the prompt
+    template from its endpoint. Whoever opened the connection closes it: in a
+    sweep, the worker that hands it to each cell it runs. A query or
+    candidate without text is rejected when the oracle is built.
 
     The prompt template is split once, when the oracle is built, as
     ``build_prp_prompt`` splits it, and its text, the query and every
@@ -687,15 +686,10 @@ class LlmOracle(Oracle):
     alternated pairs on 2 vCPUs.
     """
 
-    def __init__(
-        self,
-        endpoint: LlmEndpoint,
-        query: str,
-        candidates: Iterable[Candidate],
-        connection: _Connection | None = None,
-    ):
+    def __init__(self, connection: _Connection, query: str, candidates: Iterable[Candidate]):
         if query is None:
             raise InvalidConfig("the query has no text")
+        endpoint = connection.endpoint
         template = endpoint.prompt_template
         texts, slots = _template_parts(DEFAULT_PROMPT_TEMPLATE if template is None else template)
         # The query is the same in every prompt, so it joins the text around
@@ -722,7 +716,7 @@ class LlmOracle(Oracle):
             if cand.text is None:
                 raise InvalidConfig(f"candidate {cand.doc!r} has no passage text")
             self._passages[cand.doc] = _json_chars(cand.text)
-        self._connection = _Connection(endpoint) if connection is None else connection
+        self._connection = connection
 
     def compare(self, req: tuple[DocId, DocId]) -> Preference:
         return self.compare_batch([req])[0]
@@ -742,9 +736,6 @@ class LlmOracle(Oracle):
             lead = next_lead
         parts.append(b"]}")
         return _exchange(self._connection, parts, len(reqs))
-
-    def close(self) -> None:
-        self._connection.close()
 
 
 # The oracles that take plain (first, second) tuples; see ``_asking_pairs``.

@@ -245,6 +245,22 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "an idle socket that reads ready is reused",
+        "oracles.py",
+        "            if self._sock is not None and self._poll.poll(0):"
+        "  # type: ignore[union-attr]\n"
+        "                self.close()\n",
+        "",
+        (LLM + "TestTransport::test_idle_connection_that_reads_ready_is_not_reused",),
+    ),
+    Mutant(
+        "idle check through `select.select`",
+        "oracles.py",
+        "self._poll.poll(0)",
+        '__import__("select").select([self._sock], [], [], 0)[0]',
+        (LLM + "TestTransport::test_connection_on_a_descriptor_of_1024_or_more_is_reused",),
+    ),
+    Mutant(
         "one retry more than configured",
         "oracles.py",
         "        retries = self.endpoint.retries\n",

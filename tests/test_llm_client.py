@@ -1,11 +1,13 @@
 import json
+import os
+import resource
 import signal
 import socket
 import sys
 import threading
 import time
 import urllib.request
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import replace
 
 import pytest
@@ -30,12 +32,20 @@ from prp_sort import (
 )
 from prp_sort import experiment
 from prp_sort.experiment import ExperimentConfig, FileSource, OracleSpec, SyntheticSpec
-from prp_sort.oracles import LlmOracle
+from prp_sort.oracles import LlmOracle, _Connection
 from conftest import TLS_CERT
 
 
 def endpoint_for(server, **kwargs):
     return LlmEndpoint(url=server.url, model="test-model", retries=0, timeout_s=5.0, **kwargs)
+
+
+@contextmanager
+def llm_oracle(endpoint, query, candidates):
+    """An ``LlmOracle`` on a connection to ``endpoint`` that is closed when
+    the block ends."""
+    with closing(_Connection(endpoint)) as connection:
+        yield LlmOracle(connection, query, candidates)
 
 
 def wait_for(predicate, timeout_s=5.0):
@@ -151,7 +161,7 @@ class TestLlmOracle:
             ComparisonRequest("dC", "dB"),
             ComparisonRequest("dA", "dC"),
         ]
-        with closing(LlmOracle(endpoint_for(server), "which passage?", CANDIDATES)) as oracle:
+        with llm_oracle(endpoint_for(server), "which passage?", CANDIDATES) as oracle:
             prefs = executor.submit_group(oracle, group)
         assert prefs == [Preference.FIRST, Preference.SECOND, Preference.FIRST]
         assert len(server.requests) == 2  # ceil(3 / 2) posts
@@ -165,7 +175,7 @@ class TestLlmOracle:
         executor = BatchExecutor(batch_size=4, use_cache=True)
         group = [ComparisonRequest(f"d{i}", "d4") for i in range(4)]
         reversed_group = [ComparisonRequest("d4", f"d{i}") for i in range(4)]
-        with closing(LlmOracle(endpoint_for(server), "which passage?", docs)) as oracle:
+        with llm_oracle(endpoint_for(server), "which passage?", docs) as oracle:
             assert executor.submit_group(oracle, group) == [Preference.FIRST] * 4
             assert len(server.requests) == 1
             assert len(server.requests[0]["payload"]["prompts"]) == 4
@@ -179,14 +189,14 @@ class TestLlmOracle:
     @pytest.mark.parametrize("use_cache", [False, True])
     def test_singleton_group_is_one_post_of_one_prompt(self, server, use_cache):
         executor = BatchExecutor(use_cache=use_cache)
-        with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:
+        with llm_oracle(endpoint_for(server), "q", CANDIDATES) as oracle:
             answers = executor.submit_group(oracle, (ComparisonRequest("dA", "dB"),))
         assert answers == [Preference.FIRST]
         assert [len(r["payload"]["prompts"]) for r in server.requests] == [1]
         assert executor.ledger.inference_calls == 1
 
     def test_prompt_carries_query_and_both_passages(self, server):
-        with closing(LlmOracle(endpoint_for(server), "my query", CANDIDATES)) as oracle:
+        with llm_oracle(endpoint_for(server), "my query", CANDIDATES) as oracle:
             oracle.compare(ComparisonRequest("dA", "dB"))
         prompt = server.requests[0]["payload"]["prompts"][0]
         assert "my query" in prompt
@@ -196,16 +206,16 @@ class TestLlmOracle:
     def test_candidates_without_text_are_rejected_upfront(self, server):
         candidates = [*CANDIDATES, Candidate("dX")]
         with pytest.raises(InvalidConfig, match="candidate 'dX' has no passage text"):
-            LlmOracle(endpoint_for(server), "q", candidates)
+            LlmOracle(_Connection(endpoint_for(server)), "q", candidates)
         assert server.connections == 0
 
     def test_query_without_text_is_rejected_when_built(self, server):
         with pytest.raises(InvalidConfig, match="query has no text"):
-            LlmOracle(endpoint_for(server), None, CANDIDATES)
+            LlmOracle(_Connection(endpoint_for(server)), None, CANDIDATES)
         assert server.connections == 0
 
     def test_unknown_doc_is_rejected_before_any_post(self, server):
-        with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:
+        with llm_oracle(endpoint_for(server), "q", CANDIDATES) as oracle:
             with pytest.raises(InvalidConfig, match="no passage for document 'dZ'"):
                 oracle.compare(ComparisonRequest("dA", "dZ"))
         assert server.requests == []
@@ -267,9 +277,9 @@ class TestRequestBody:
         )
         answer = json.dumps({"completions": ["Passage B"] * len(reqs)}).encode()
         sock = OneReplySocket(reply(b"HTTP/1.1 200 OK", content_length(answer), body=answer))
-        with closing(LlmOracle(endpoint, query, candidates)) as oracle:
-            connection = oracle._connection
+        with closing(_Connection(endpoint)) as connection:
             connection._open = lambda: setattr(connection, "_sock", sock) or sock
+            oracle = LlmOracle(connection, query, candidates)
             assert oracle.compare_batch(reqs) == [Preference.SECOND] * len(reqs)
         [request] = sock.writes
         head, _, body = request.partition(b"\r\n\r\n")
@@ -305,7 +315,7 @@ class TestTransport:
         return [oracle.compare(ComparisonRequest("dA", "dB")) for _ in range(calls)]
 
     def test_calls_of_one_oracle_share_one_connection(self, server):
-        with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:
+        with llm_oracle(endpoint_for(server), "q", CANDIDATES) as oracle:
             assert self.ask(oracle, 20) == [Preference.FIRST] * 20
         assert len(server.requests) == 20
         assert server.connections == 1
@@ -313,7 +323,7 @@ class TestTransport:
 
     def test_idle_connection_closed_by_the_server_costs_no_failure(self, server):
         server.close_after_reply = True
-        with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:
+        with llm_oracle(endpoint_for(server), "q", CANDIDATES) as oracle:
             assert self.ask(oracle, 5) == [Preference.FIRST] * 5
         assert len(server.requests) == 5
         assert server.connections == 5
@@ -322,17 +332,34 @@ class TestTransport:
         # Some servers answer an idle timeout with an unasked 408 before they
         # close; a request sent on that socket would read the 408 as its reply.
         server.goodbye = b"HTTP/1.1 408 Request Timeout\r\nContent-Length: 0\r\n\r\n"
-        with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:
+        with llm_oracle(endpoint_for(server), "q", CANDIDATES) as oracle:
             for calls in (1, 2, 3):
                 assert self.ask(oracle) == [Preference.FIRST]
                 assert wait_for(lambda: server.goodbyes == calls)
         assert len(server.requests) == 3
         assert server.connections == 3
 
+    def test_connection_on_a_descriptor_of_1024_or_more_is_reused(self, server):
+        # select.select rejects a descriptor at or past FD_SETSIZE (1024).
+        soft = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
+        if soft != resource.RLIM_INFINITY and soft < 1100:
+            pytest.skip(f"the soft limit on open descriptors is {soft}")
+        spare = [os.open(os.devnull, os.O_RDONLY)]
+        try:
+            while spare[-1] < 1024:  # every lower descriptor is now taken
+                spare.append(os.dup(spare[0]))
+            with llm_oracle(endpoint_for(server), "q", CANDIDATES) as oracle:
+                assert self.ask(oracle, 2) == [Preference.FIRST] * 2
+                assert oracle._connection._sock.fileno() >= 1024
+        finally:
+            for fd in spare:
+                os.close(fd)
+        assert server.connections == 1
+
     @pytest.mark.parametrize("drop", ["drop", "reset"])
     def test_request_dropped_on_a_reused_connection_is_resent_once(self, server, drop):
         server.responses.extend([(200, None), drop])
-        with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:
+        with llm_oracle(endpoint_for(server), "q", CANDIDATES) as oracle:
             assert self.ask(oracle, 2) == [Preference.FIRST] * 2
             assert len(server.requests) == 3
             assert server.connections == 2
@@ -356,7 +383,7 @@ class TestTransport:
     )
     def test_call_after_an_http_error_reuses_the_connection(self, server, response, error):
         server.responses.append(response)
-        with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:
+        with llm_oracle(endpoint_for(server), "q", CANDIDATES) as oracle:
             with pytest.raises(BackendFailure, match=error):
                 self.ask(oracle)
             assert self.ask(oracle) == [Preference.FIRST]
@@ -520,7 +547,7 @@ class TestReplyFraming:
         chunks += b"%x\r\n" % len(ANSWER_B[5:]) + ANSWER_B[5:] + b"\r\n"
         chunks += b"0\r\nX-Trailer: t\r\n\r\n"
         server.responses.append(reply(b"HTTP/1.1 200 OK", CHUNKED, body=chunks))
-        with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:
+        with llm_oracle(endpoint_for(server), "q", CANDIDATES) as oracle:
             assert self.ask(oracle) == Preference.SECOND
             assert self.ask(oracle) == Preference.FIRST
         assert server.connections == 1
@@ -528,7 +555,7 @@ class TestReplyFraming:
     def test_close_delimited_body_parses_and_the_next_call_reconnects(self, server):
         server.close_after_reply = True
         server.responses.append(reply(b"HTTP/1.1 200 OK", b"Content-Type: application/json"))
-        with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:
+        with llm_oracle(endpoint_for(server), "q", CANDIDATES) as oracle:
             assert self.ask(oracle) == Preference.SECOND
             assert self.ask(oracle) == Preference.FIRST
         assert len(server.requests) == 2
@@ -545,7 +572,7 @@ class TestReplyFraming:
     def test_connection_close_reply_is_not_reused_and_costs_no_retry(self, server, head):
         # The server keeps the connection open; only the reply head says to close.
         server.responses.append(reply(*head, content_length()))
-        with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:
+        with llm_oracle(endpoint_for(server), "q", CANDIDATES) as oracle:
             assert self.ask(oracle) == Preference.SECOND
             assert wait_for(lambda: server.closed == 1)
             assert self.ask(oracle) == Preference.FIRST
@@ -557,7 +584,7 @@ class TestReplyFraming:
             reply(b"HTTP/1.1 200 OK", content_length())
             + b"HTTP/1.1 408 Request Timeout\r\nContent-Length: 0\r\n\r\n"
         )
-        with closing(LlmOracle(endpoint_for(server), "q", CANDIDATES)) as oracle:
+        with llm_oracle(endpoint_for(server), "q", CANDIDATES) as oracle:
             assert self.ask(oracle) == Preference.SECOND
             assert self.ask(oracle) == Preference.FIRST
         assert server.connections == 2
