@@ -12,23 +12,30 @@ tests/golden/:
   sweep's first 40 queries. Its rankings depend on which pairs each sorter
   asks.
 
+It also writes report_digests.json: the sha256 of the CSV and the JSON-lines
+report of every score or noisy config under configs/, each at its first
+REPORT_QUERIES queries, so the suite pins every report byte.
+
 The test suite asserts exact equality against these files, so regenerating
-them is only legitimate when the cost accounting or the pairs the sorters
-ask intentionally change.
+them is only legitimate when the cost accounting, the pairs the sorters
+ask or the report format intentionally change.
 """
 
+import hashlib
 import json
 import sys
+import tempfile
 from dataclasses import asdict, replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from prp_sort import load_config, run_experiment  # noqa: E402
+from prp_sort import emit_report, load_config, run_experiment  # noqa: E402
 
 # (config, number of queries to run, or None for the config's own)
 GOLDENS = [("cost_model.json", None), ("pivot_benchmark_noisy.json", 40)]
+REPORT_QUERIES = 10
 
 
 def write_golden(name: str, queries: int | None) -> None:
@@ -57,9 +64,31 @@ def write_golden(name: str, queries: int | None) -> None:
         )
 
 
+def write_report_digests() -> None:
+    golden = ROOT / "tests" / "golden" / "report_digests.json"
+    digests = {}
+    with tempfile.TemporaryDirectory(prefix="prp-sort-goldens-") as tmp:
+        for source in sorted((ROOT / "configs").glob("*.json")):
+            config = load_config(str(source))
+            if config.oracle.kind not in ("score", "noisy"):
+                continue
+            config = replace(config, dataset=replace(config.dataset, num_queries=REPORT_QUERIES))
+            report = run_experiment(config)
+            name = str(source.relative_to(ROOT))
+            digests[name] = {}
+            for out_format in ("csv", "jsonl"):
+                out = Path(tmp) / f"{source.stem}.{out_format}"
+                emit_report(report, out_format, str(out))
+                digests[name][out_format] = hashlib.sha256(out.read_bytes()).hexdigest()
+    payload = {"queries": REPORT_QUERIES, "sha256": digests}
+    golden.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {golden.relative_to(ROOT)}: {2 * len(digests)} reports")
+
+
 def main() -> int:
     for name, queries in GOLDENS:
         write_golden(name, queries)
+    write_report_digests()
     return 0
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that the suite catches every source mutant in tests/mutants.py.
 
-    python3 scripts/mutants.py
+    python3 scripts/mutants.py [NAME ...]
 
 Copies the repository into a temporary directory and first runs every listed
 test there unmutated: they must all pass, or a row could fail for a reason
@@ -9,6 +9,10 @@ of its own. Then, one row at a time, it writes the row's mutant into the
 copy, runs only that row's tests, and restores the file. A row is caught
 when each of its listed tests fails. Prints one line per row and exits 1 if
 any row survived.
+
+Given NAME arguments, it checks only the rows whose names contain one of
+them, and runs unmutated only those rows' tests; with none, every row, which
+is the full check.
 """
 
 from __future__ import annotations
@@ -60,11 +64,15 @@ def covers(test: str, failed: set[str]) -> bool:
     return any(f == test or f.startswith((test + "[", test + "::")) for f in failed)
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    rows = [row for row in MUTANTS if not names or any(name in row.name for name in names)]
+    if not rows:
+        print(f"no row's name contains any of {names}")
+        return 1
     with tempfile.TemporaryDirectory(prefix="prp-sort-mutants-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=IGNORED)
-        listed = sorted({test for row in MUTANTS for test in row.tests})
+        listed = sorted({test for row in rows for test in row.tests})
         failed = failed_tests(copy, listed)
         if failed is None:
             print("unmutated copy: pytest could not run the listed tests")
@@ -74,7 +82,7 @@ def main() -> int:
             return 1
         print(f"unmutated copy: {len(listed)} listed tests pass")
         survived = 0
-        for row in MUTANTS:
+        for row in rows:
             path = copy / "src" / "prp_sort" / row.file
             original = path.read_text(encoding="utf-8")
             path.write_text(original.replace(row.old, row.new), encoding="utf-8")
@@ -91,9 +99,9 @@ def main() -> int:
             else:
                 count = len(row.tests)
                 print(f"caught    {row.name} ({seconds:.1f} s): {count}/{count} tests failed")
-    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants caught")
+    print(f"{len(rows) - survived} of {len(rows)} mutants caught")
     return 1 if survived else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -155,17 +155,17 @@ def heapsort_topk(
     n = len(heap)
     ask = executor.ask
 
-    def beats(i: int, j: int) -> bool:
-        return ask(oracle, (heap[i], heap[j])) is _FIRST
-
     def sift_down(i: int, size: int) -> None:
         while True:
             left = 2 * i + 1
             if left >= size:
                 return
             right = left + 1
-            winner = left if right >= size or beats(left, right) else right
-            if not beats(winner, i):
+            if right < size and ask(oracle, (heap[left], heap[right])) is not _FIRST:
+                winner = right
+            else:
+                winner = left
+            if ask(oracle, (heap[winner], heap[i])) is not _FIRST:
                 return
             heap[i], heap[winner] = heap[winner], heap[i]
             i = winner
@@ -201,10 +201,18 @@ def bubblesort_topk(
     ask = executor.ask
     for p in range(k):
         swapped = False
-        for i in range(n - 1, p, -1):
-            if ask(oracle, (order[i - 1], order[i])) is _SECOND:
-                order[i - 1], order[i] = order[i], order[i - 1]
+        # The pass carries the best document so far from the end toward p:
+        # each question reads order[i] and writes the loser to i + 1.
+        carried = order[n - 1]
+        for i in range(n - 2, p - 1, -1):
+            doc = order[i]
+            if ask(oracle, (doc, carried)) is _SECOND:
+                order[i + 1] = doc
                 swapped = True
+            else:
+                order[i + 1] = carried
+                carried = doc
+        order[p] = carried
         if not swapped:
             break
     return order[:k], executor.ledger
@@ -263,10 +271,15 @@ def batch_partition(
     sides. Returns the (left, right) id lists.
     """
     pivot_doc = order[pivot_index]
-    others = [order[i] for i in range(lo, hi + 1) if i != pivot_index]
+    others = order[lo:pivot_index] + order[pivot_index + 1 : hi + 1]
     prefs = executor.submit_group(_asking_pairs(oracle), [(doc, pivot_doc) for doc in others])
-    left = [doc for doc, pref in zip(others, prefs) if pref is _FIRST]
-    right = [doc for doc, pref in zip(others, prefs) if pref is _SECOND]
+    left: list[DocId] = []
+    right: list[DocId] = []
+    for doc, pref in zip(others, prefs):
+        if pref is _FIRST:
+            left.append(doc)
+        elif pref is _SECOND:
+            right.append(doc)
     order[lo : hi + 1] = left + [pivot_doc] + right
     return left, right
 

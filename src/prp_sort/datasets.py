@@ -155,11 +155,15 @@ def generate_synthetic(num_queries: int, n: int, master_seed: int) -> Dataset:
     truth: dict[str, dict[DocId, float]] = {}
     for qi in range(1, num_queries + 1):
         qid = f"q{qi:0{qwidth}d}"
-        shuffled = list(values)
-        Random(stable_seed("synth", master_seed, qid)).shuffle(shuffled)
-        scores = truth[qid] = dict(zip(docs, shuffled))
-        # The scores are distinct, so no tie order is left to keep.
-        by_rank = sorted(docs, key=scores.__getitem__, reverse=True)
+        # Shuffling the indices of the values permutes them as shuffling the
+        # values would: the draws depend on the length alone. Document j
+        # gets values[ranks[j]], so n - 1 - ranks[j] places it best first.
+        ranks = list(range(n))
+        Random(stable_seed("synth", master_seed, qid)).shuffle(ranks)
+        truth[qid] = {doc: values[rank] for doc, rank in zip(docs, ranks)}
+        by_rank = [""] * n
+        for doc, rank in zip(docs, ranks):
+            by_rank[n - 1 - rank] = doc
         grades[qid] = dict(zip(by_rank, grades_by_position))
         queries.append(Query(qid=qid, text=None, candidates=list(candidates)))
     return Dataset(queries=queries, grades=grades, ground_truth_scores=truth)

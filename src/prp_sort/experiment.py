@@ -18,6 +18,7 @@ import sys
 import threading
 from contextlib import closing
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from enum import Enum
 from typing import Any, Sequence
 
@@ -535,21 +536,40 @@ def compute_aggregates(rows: list[QueryRow]) -> list[AggregateRow]:
     return aggregates
 
 
+# The fields each row kind writes to its report columns, in order.
+_QUERY_FIELDS = tuple(f.name for f in fields(QueryRow) if f.name != "config")
+_AGGREGATE_FIELDS = tuple(f.name for f in fields(AggregateRow))
+
 # The row kind, the QueryRow columns, then the fields only AggregateRow has.
-REPORT_COLUMNS = ["kind"] + [f.name for f in fields(QueryRow) if f.name != "config"]
+REPORT_COLUMNS = ["kind", *_QUERY_FIELDS]
 REPORT_COLUMNS[REPORT_COLUMNS.index("status") + 1 : 0] = _CONFIG_COLUMNS
 REPORT_COLUMNS += [f.name for f in fields(AggregateRow) if f.name not in REPORT_COLUMNS]
 
 
-def _row_record(row: QueryRow | AggregateRow) -> dict[str, Any]:
-    if isinstance(row, QueryRow):
-        kind, fixed = "query", row.config.columns()  # once, not once per column
-    else:
-        kind, fixed = "aggregate", {}
-    return {
-        name: kind if name == "kind" else fixed[name] if name in fixed else getattr(row, name, None)
-        for name in REPORT_COLUMNS
-    }
+def _records(report: ExperimentReport) -> list[dict[str, Any]]:
+    """One record per row, keyed by REPORT_COLUMNS in order, None where a row
+    has no such column. A query row's config columns, which ``columns()``
+    gives once per run of rows that share a config, take precedence over
+    its own fields."""
+    blank = dict.fromkeys(REPORT_COLUMNS)
+    records = []
+    config = None
+    for row in report.rows:
+        if row.config is not config:
+            config = row.config
+            fixed = config.columns()
+            template = {**blank, "kind": "query", **fixed}
+            names = [name for name in _QUERY_FIELDS if name not in fixed]
+            read = attrgetter(*names)
+        record = template.copy()
+        record.update(zip(names, read(row)))
+        records.append(record)
+    read = attrgetter(*_AGGREGATE_FIELDS)
+    for agg in report.aggregates:
+        record = {**blank, "kind": "aggregate"}
+        record.update(zip(_AGGREGATE_FIELDS, read(agg)))
+        records.append(record)
+    return records
 
 
 def _format_cell(value: Any) -> str:
@@ -572,8 +592,7 @@ def emit_report(report: ExperimentReport, out_format: str, path: str | None) -> 
     """
     if out_format not in ("csv", "jsonl"):
         raise InvalidConfig(f"output format must be csv or jsonl, got {out_format!r}")
-    records = [_row_record(r) for r in report.rows]
-    records += [_row_record(a) for a in report.aggregates]
+    records = _records(report)
     buffer = io.StringIO()
     if out_format == "csv":
         # Loaded here, not at import: only a CSV report needs it.
@@ -581,8 +600,7 @@ def emit_report(report: ExperimentReport, out_format: str, path: str | None) -> 
 
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
-        for record in records:
-            writer.writerow([_format_cell(record[n]) for n in REPORT_COLUMNS])
+        writer.writerows([_format_cell(value) for value in record.values()] for record in records)
     else:
         for record in records:
             buffer.write(json.dumps(record, ensure_ascii=False))

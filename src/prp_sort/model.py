@@ -62,5 +62,10 @@ class CostLedger:
     batch_groups: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _LEDGER_FIELDS}
+
+
+# Read once: ``fields()`` rebuilds its tuple on every call, and a sweep
+# calls ``as_dict`` once per cell.
+_LEDGER_FIELDS = tuple(f.name for f in fields(CostLedger))
 

@@ -97,7 +97,9 @@ class ScoreOracle(Oracle):
     """Ground-truth judge over a score map.
 
     The larger score wins; exact ties go to the lexicographically smaller
-    id, so the induced order is strict and total.
+    id, so the induced order is strict and total. Comparing a document with
+    itself is an error, checked on a tie, where every self-pair lands; a
+    document without a score is reported first.
     """
 
     def __init__(self, scores: Mapping[DocId, float]):
@@ -105,8 +107,6 @@ class ScoreOracle(Oracle):
 
     def compare(self, req: tuple[DocId, DocId]) -> Preference:
         a, b = req
-        if a == b:
-            raise InvalidConfig(f"cannot compare document {a!r} with itself")
         scores = self._scores
         try:
             sa = scores[a]
@@ -117,6 +117,8 @@ class ScoreOracle(Oracle):
             return _FIRST
         if sb > sa:
             return _SECOND
+        if a == b:  # a self-pair ties, NaN scores included
+            raise InvalidConfig(f"cannot compare document {a!r} with itself")
         return _FIRST if a < b else _SECOND
 
 
@@ -126,7 +128,9 @@ class NoisyOracle(Oracle):
     The flip decision is keyed on (seed, unordered pair), not on the query
     event, so the same unordered pair always answers the same way within a
     run even without a cache. flip_probability 0 reproduces the base oracle
-    exactly; 1 inverts it everywhere.
+    exactly; 1 inverts it everywhere. Each oracle draws a pair's flip once
+    and keeps it: a memo of a pure function, so it changes no answer, and
+    the ledger still counts every call.
     """
 
     def __init__(self, base: Oracle, flip_probability: float, seed: int):
@@ -136,17 +140,19 @@ class NoisyOracle(Oracle):
         self.flip_probability = flip_probability
         self.seed = seed
         self._ask_base = _asking_pairs(base).compare
+        self._flips: dict[tuple[DocId, DocId], bool] = {}
 
     def compare(self, req: tuple[DocId, DocId]) -> Preference:
         answer = self._ask_base(req)
         if self.flip_probability == 0.0:
             return answer
         a, b = req
-        lo, hi = (a, b) if a < b else (b, a)
-        draw = Random(stable_seed("flip", self.seed, lo, hi)).random()
-        if draw < self.flip_probability:
-            return answer.flipped()
-        return answer
+        lo, hi = pair = (a, b) if a < b else (b, a)
+        flip = self._flips.get(pair)
+        if flip is None:
+            draw = Random(stable_seed("flip", self.seed, lo, hi)).random()
+            flip = self._flips[pair] = draw < self.flip_probability
+        return answer.flipped() if flip else answer
 
 
 class BatchExecutor:
@@ -212,7 +218,7 @@ class BatchExecutor:
         ledger.inference_calls += 1
         if memo is not None:
             memo[req] = answer
-            memo[(req[1], req[0])] = answer.flipped()
+            memo[(req[1], req[0])] = _SECOND if answer is _FIRST else _FIRST
         return answer
 
     def _resolve(self, oracle: Oracle, misses: Sequence[tuple[DocId, DocId]]) -> list[Preference]:
@@ -230,7 +236,7 @@ class BatchExecutor:
             if memo is not None:
                 for req, pref in zip(chunk, prefs):
                     memo[req] = pref
-                    memo[(req[1], req[0])] = pref.flipped()
+                    memo[(req[1], req[0])] = _SECOND if pref is _FIRST else _FIRST
             answers += prefs
         return answers
 

@@ -7,10 +7,9 @@ run-to-run reproducibility.
 
 import hashlib
 
-_SEP = b"\x1f"
-
 
 def stable_seed(*parts: object) -> int:
-    """Derive a 64-bit seed from the given parts, stable across processes."""
-    material = _SEP.join(str(p).encode("utf-8") for p in parts)
+    """Derive a 64-bit seed from the given parts, stable across processes:
+    the BLAKE2b digest of their UTF-8 text, joined by the unit separator."""
+    material = "\x1f".join(map(str, parts)).encode("utf-8")
     return int.from_bytes(hashlib.blake2b(material, digest_size=8).digest(), "big")

@@ -36,6 +36,7 @@ SEQUENCE = ALGORITHMS + "TestQuestionSequence"
 LLM = "tests/test_llm_client.py::"
 POOL = LLM + "TestCellPool::"
 EXPERIMENT = "tests/test_experiment.py::"
+REPORTS = "tests/test_reports.py::"
 
 MUTANTS = [
     # Sorters (algorithms.py).
@@ -79,18 +80,33 @@ MUTANTS = [
         (NOISY_GOLDEN, ALGORITHMS + "TestBubblesort", REFERENCE),
     ),
     Mutant(
-        "heapsort's beats asks (heap[j], heap[i])",
+        "heapsort's sift asks (heap[j], heap[i])",
         "algorithms.py",
-        "return ask(oracle, (heap[i], heap[j])) is _FIRST",
-        "return ask(oracle, (heap[j], heap[i])) is _SECOND",
+        "            if right < size and ask(oracle, (heap[left], heap[right])) is not _FIRST:\n"
+        "                winner = right\n"
+        "            else:\n"
+        "                winner = left\n"
+        "            if ask(oracle, (heap[winner], heap[i])) is not _FIRST:\n",
+        "            if right < size and ask(oracle, (heap[right], heap[left])) is not _SECOND:\n"
+        "                winner = right\n"
+        "            else:\n"
+        "                winner = left\n"
+        "            if ask(oracle, (heap[i], heap[winner])) is not _SECOND:\n",
         (SEQUENCE, REFERENCE),
     ),
     Mutant(
-        "bubblesort asks (order[i], order[i - 1])",
+        "bubblesort asks (carried, doc)",
         "algorithms.py",
-        "if ask(oracle, (order[i - 1], order[i])) is _SECOND:",
-        "if ask(oracle, (order[i], order[i - 1])) is _FIRST:",
+        "if ask(oracle, (doc, carried)) is _SECOND:",
+        "if ask(oracle, (carried, doc)) is _FIRST:",
         (SEQUENCE, REFERENCE),
+    ),
+    Mutant(
+        "bubblesort drops the carried document at a pass's end",
+        "algorithms.py",
+        "        order[p] = carried\n",
+        "",
+        (GOLDEN, ALGORITHMS + "TestBubblesort::test_reverse_ranked_four_items", REFERENCE),
     ),
     Mutant(
         "the partition asks (pivot, doc)",
@@ -142,6 +158,31 @@ MUTANTS = [
         (REQUESTS,),
     ),
     Mutant(
+        "ScoreOracle skips the self-pair check on a tie",
+        "oracles.py",
+        "        if a == b:  # a self-pair ties, NaN scores included\n"
+        '            raise InvalidConfig(f"cannot compare document {a!r} with itself")\n',
+        "",
+        (
+            ORACLES + "TestScoreOracle::test_identical_pair",
+            ORACLES + "TestNoisyOracle::test_identical_pair_is_rejected",
+        ),
+    ),
+    Mutant(
+        "the flip memo stores the answer instead of the flip",
+        "oracles.py",
+        "            flip = self._flips[pair] = draw < self.flip_probability\n"
+        "        return answer.flipped() if flip else answer\n",
+        "            flip = draw < self.flip_probability\n"
+        "            self._flips[pair] = answer.flipped() if flip else answer\n"
+        "            return self._flips[pair]\n"
+        "        return flip\n",
+        (
+            ORACLES + "TestNoisyOracle::test_same_pair_always_answers_the_same",
+            ORACLES + "TestNoisyOracle::test_symmetric_up_to_flip",
+        ),
+    ),
+    Mutant(
         "noisy flip keyed on the ordered pair",
         "oracles.py",
         'Random(stable_seed("flip", self.seed, lo, hi))',
@@ -165,7 +206,7 @@ MUTANTS = [
     Mutant(
         "ask's memo mirror not flipped",
         "oracles.py",
-        "            memo[(req[1], req[0])] = answer.flipped()\n",
+        "            memo[(req[1], req[0])] = _SECOND if answer is _FIRST else _FIRST\n",
         "            memo[(req[1], req[0])] = answer\n",
         (GOLDEN, ACCEPTANCE + "test_criterion_4_bubblesort_cache_invariance", REFERENCE),
     ),
@@ -197,7 +238,7 @@ MUTANTS = [
     Mutant(
         "_resolve's memo mirror not flipped",
         "oracles.py",
-        "                    memo[(req[1], req[0])] = pref.flipped()\n",
+        "                    memo[(req[1], req[0])] = _SECOND if pref is _FIRST else _FIRST\n",
         "                    memo[(req[1], req[0])] = pref\n",
         (
             EQUIVALENCE,
@@ -411,6 +452,13 @@ MUTANTS = [
             ACCEPTANCE + "test_criterion_7_ndcg_unit_correctness",
             "tests/test_metrics.py::TestNdcg::test_hand_computed_three_document_case",
         ),
+    ),
+    Mutant(
+        "emit_report reuses one config's columns for every row",
+        "experiment.py",
+        "        if row.config is not config:\n",
+        "        if config is None:\n",
+        (REPORTS + "test_report_bytes_match_the_digests",),
     ),
     Mutant(
         "an aggregate-only column left out of REPORT_COLUMNS",
