@@ -278,7 +278,7 @@ def batch_partition(
     for doc, pref in zip(others, prefs):
         if pref is _FIRST:
             left.append(doc)
-        elif pref is _SECOND:
+        else:  # _SECOND: _Requests checks that an outside oracle answers a Preference
             right.append(doc)
     order[lo : hi + 1] = left + [pivot_doc] + right
     return left, right

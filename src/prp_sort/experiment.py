@@ -301,12 +301,12 @@ def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
 
 
 def read_config_json(path: str) -> dict[str, Any]:
-    """The JSON object in a config file; a file that is not valid JSON, or
-    whose top level is not an object, is an InvalidConfig error."""
+    """The JSON object in a config file; a file that is not valid UTF-8 JSON,
+    or whose top level is not an object, is an InvalidConfig error."""
     with open(path, encoding="utf-8") as handle:
         try:
             raw = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also a UnicodeDecodeError or an over-long integer
             raise InvalidConfig(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise InvalidConfig(f"{path} must hold a JSON object, got {type(raw).__name__}")

@@ -18,6 +18,7 @@ import re
 import threading
 import urllib.parse
 import warnings
+from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
@@ -71,16 +72,27 @@ class Oracle:
 
 class _Requests(Oracle):
     """Hands an oracle not in ``_PAIR_ORACLES`` each plain pair as a
-    ``ComparisonRequest``, one call for each call it gets."""
+    ``ComparisonRequest``, one call for each call it gets, and checks that it
+    answers each with one ``Preference``, before the executor counts the call."""
 
     def __init__(self, oracle: Oracle):
         self.oracle = oracle
+        self._name = type(oracle).__name__
 
     def compare(self, req: tuple[DocId, DocId]) -> Preference:
-        return self.oracle.compare(ComparisonRequest(*req))
+        return self._checked(self.oracle.compare(ComparisonRequest(*req)))
 
     def compare_batch(self, reqs: Sequence[tuple[DocId, DocId]]) -> list[Preference]:
-        return self.oracle.compare_batch([ComparisonRequest(*req) for req in reqs])
+        answers = self.oracle.compare_batch([ComparisonRequest(*req) for req in reqs])
+        if not isinstance(answers, (list, tuple)) or len(answers) != len(reqs):
+            got = f"{len(answers)} answers" if isinstance(answers, (list, tuple)) else repr(answers)
+            raise InvalidConfig(f"{self._name} answered {len(reqs)} requests with {got}")
+        return [self._checked(answer) for answer in answers]
+
+    def _checked(self, answer: Preference) -> Preference:
+        if answer is not _FIRST and answer is not _SECOND:
+            raise InvalidConfig(f"{self._name} answered {answer!r}, not a Preference")
+        return answer
 
 
 def _asking_pairs(oracle: Oracle) -> Oracle:
@@ -303,14 +315,10 @@ def parse_preference_label(completion: str) -> tuple[Preference, bool]:
 
 @dataclass(frozen=True, slots=True)
 class LlmEndpoint:
-    """HTTP text-completion backend configuration.
-
-    The wire format is deliberately minimal: POST a JSON body
-    ``{"model": ..., "prompts": [...]}`` and read ``{"completions": [...]}``
-    of equal length and order. Backends with a different payload schema are
-    adapted behind this shape. The API key is read from the environment,
-    never from config files.
-    """
+    """HTTP text-completion backend configuration. ``_exchange`` holds the
+    wire format, behind which a backend with another payload schema is
+    adapted. The API key is read from the environment when a connection
+    opens, never from config files."""
 
     url: str
     model: str = "default"
@@ -380,10 +388,11 @@ class _Connection:
     The socket opens on the first POST and reopens after the peer or an
     error closed it; a kept socket is polled for input before each POST,
     whatever its descriptor's number. Replies are read through one buffer
-    kept for the socket's life. Proxies come from the environment
-    (``HTTP_PROXY``, ``HTTPS_PROXY``, ``NO_PROXY``), read each time the
-    socket opens: an ``http`` URL is sent to the proxy with the absolute URL
-    as the target, an ``https`` URL is tunnelled through it with CONNECT.
+    kept for the socket's life. Proxies (``HTTP_PROXY``, ``HTTPS_PROXY``,
+    ``NO_PROXY``) and the API key come from the environment, read each time
+    the socket opens, when the head of every request it carries is rendered:
+    an ``http`` URL is sent to the proxy with the absolute URL as the
+    target, an ``https`` URL is tunnelled through it with CONNECT.
     """
 
     def __init__(self, endpoint: LlmEndpoint):
@@ -391,10 +400,9 @@ class _Connection:
         self._sock: socket.socket | None = None  # open; carried a reply, if any, that kept it
         self._poll: select.poll | None = None  # polls ``_sock`` for input; made when it opens
         self._buf = bytearray()  # received and not yet read
-        self._target = ""
-        self._host = ""
+        self._head = b""  # the request head up to Content-Length's value; made in ``_open``
 
-    def post(self, parts: Sequence[bytes], headers: Mapping[str, str]) -> tuple[int, bytes]:
+    def post(self, parts: Sequence[bytes]) -> tuple[int, bytes]:
         """POST the body that ``parts`` join into and read the whole reply,
         so the connection stays usable whatever its status; returns (status,
         body).
@@ -415,7 +423,7 @@ class _Connection:
                 self.close()
             reused = self._sock is not None
             try:
-                return self._attempt(parts, headers)
+                return self._attempt(parts)
             except BaseException as exc:
                 self.close()
                 if not isinstance(exc, (OSError, _HttpError)):
@@ -427,21 +435,17 @@ class _Connection:
                 else:
                     raise BackendFailure(f"POST {self.endpoint.url} failed: {exc}") from exc
 
-    def _attempt(self, parts: Sequence[bytes], headers: Mapping[str, str]) -> tuple[int, bytes]:
+    def _attempt(self, parts: Sequence[bytes]) -> tuple[int, bytes]:
         """One HTTP exchange: open the socket unless one is kept, send the
         request in one write, read the whole reply; returns (status, body).
-        The head and the body's ``parts`` are joined once, into the request,
-        so the body is never copied on its own. The socket is kept only if
-        the reply lets it stay open and ended where its framing said."""
+        The socket's head, the body's length and ``parts`` are joined once,
+        into the request, so the body is never copied on its own. The socket
+        is kept only if the reply lets it stay open and ended where its
+        framing said."""
         sock = self._sock or self._open()
-        head = (
-            f"POST {self._target} HTTP/1.1\r\nHost: {self._host}\r\n"
-            f"Accept-Encoding: identity\r\nContent-Length: {sum(map(len, parts))}\r\n"
-            + "".join(f"{name}: {value}\r\n" for name, value in headers.items())
-            + "\r\n"
-        ).encode("latin-1")
+        length = b"%d\r\n\r\n" % sum(map(len, parts))
         try:
-            sock.sendall(b"".join((head, *parts)))
+            sock.sendall(b"".join((self._head, length, *parts)))
         except OSError as exc:
             raise _Unanswered(str(exc)) from exc
         status, keep_alive, reply_headers = self._read_head()
@@ -451,8 +455,11 @@ class _Connection:
         return status, data
 
     def _open(self) -> socket.socket:
-        """Connect to the endpoint, or to its proxy, and keep the socket."""
+        """Connect to the endpoint or its proxy, keep the socket, render its requests' head."""
         url, port, origin, target = _url_parts(self.endpoint.url)  # checked with the endpoint
+        api_key = os.environ.get(self.endpoint.api_key_env, "")
+        if api_key and not _REQUEST_TOKEN.fullmatch(api_key):  # it goes into the head as is
+            raise InvalidConfig(f"{self.endpoint.api_key_env} must be printable ASCII, no spaces")
         # Loaded here, not at import: select, socket, and urllib.request,
         # which pulls in http.client, email and ssl; a program that opens no
         # connection needs none of them.
@@ -477,7 +484,12 @@ class _Connection:
             address = (proxy_url.hostname, proxy_port or _DEFAULT_PORT[url.scheme])
             if url.scheme == "http":
                 target = f"http://{origin}{target}"
-        self._target, self._host = target, origin
+        self._head = (
+            f"POST {target} HTTP/1.1\r\nHost: {origin}\r\nAccept-Encoding: identity\r\n"
+            "Content-Type: application/json\r\n"
+            + (f"Authorization: Bearer {api_key}\r\n" if api_key else "")
+            + "Content-Length: "
+        ).encode("ascii")
         sock = self._sock = socket.create_connection(address, timeout=self.endpoint.timeout_s)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         if url.scheme == "https":
@@ -609,34 +621,29 @@ class _Connection:
 
 def llm_compare_batch(endpoint: LlmEndpoint, prompts: Sequence[str]) -> list[Preference]:
     """Resolve a batch of rendered prompts as one logical inference call, on a
-    connection opened for this call and closed after it. The request body is
-    ``json.dumps`` of the model and the prompts, posted as one piece.
+    connection opened for this call and closed after it. ``_exchange``
+    gets the prompts' JSON items, as one piece.
 
     Transport errors are retried up to endpoint.retries times before raising
     BackendFailure; HTTP status or payload problems fail immediately.
     Completions without a recognizable label fall back to FIRST with a
     ParseFallbackWarning, which keeps long sweeps running.
     """
-    body = json.dumps({"model": endpoint.model, "prompts": list(prompts)}).encode("utf-8")
-    connection = _Connection(endpoint)
-    try:
-        return _exchange(connection, [body], len(prompts))
-    finally:
-        connection.close()
+    items = json.dumps(list(prompts))[1:-1].encode("ascii")
+    with closing(_Connection(endpoint)) as connection:
+        return _exchange(connection, [items], len(prompts))
 
 
-def _exchange(connection: _Connection, parts: Sequence[bytes], count: int) -> list[Preference]:
-    """POST the request body that ``parts`` join into, of ``count`` prompts,
-    to the connection's endpoint and parse its completions into preferences,
-    in order: the one HTTP exchange of every inference call."""
+def _exchange(connection: _Connection, prompts: Sequence[bytes], count: int) -> list[Preference]:
+    """POST ``count`` prompts and parse the completions into preferences, in
+    order: the one HTTP exchange of every inference call, and the one place
+    that holds the wire format. ``prompts`` join into the prompts' JSON
+    items, ``", "`` between two; the body wraps them in ``{"model": ...,
+    "prompts": [`` ... ``]}``, as ``json.dumps`` writes it, and the reply is
+    ``{"completions": [...]}`` of equal length and order."""
     endpoint = connection.endpoint
-    headers = {"Content-Type": "application/json"}
-    api_key = os.environ.get(endpoint.api_key_env, "")
-    if api_key:
-        if not _REQUEST_TOKEN.fullmatch(api_key):  # it goes into the request head as is
-            raise InvalidConfig(f"{endpoint.api_key_env} must be printable ASCII without spaces")
-        headers["Authorization"] = f"Bearer {api_key}"
-    status, data = connection.post(parts, headers)
+    model = json.dumps(endpoint.model).encode("ascii")
+    status, data = connection.post([b'{"model": ' + model + b', "prompts": [', *prompts, b"]}"])
     if status != 200:
         raise BackendFailure(f"POST {endpoint.url} returned HTTP {status}")
     try:
@@ -675,17 +682,18 @@ class LlmOracle(Oracle):
     Each comparison issues a single-order prompt that names the request's
     first document as Passage A; both orders are never queried for one
     comparison, matching one-inference-per-comparison accounting. Every call
-    goes over ``connection``, and the oracle reads the model and the prompt
-    template from its endpoint. Whoever opened the connection closes it: in a
-    sweep, the worker that hands it to each cell it runs. A query or
-    candidate without text is rejected when the oracle is built.
+    goes over ``connection``, and the oracle reads the prompt template from
+    its endpoint (``_exchange`` reads the model). Whoever opened the
+    connection closes it: in a sweep, the worker that hands it to each cell
+    it runs. A query or candidate without text is rejected when the oracle
+    is built.
 
     The prompt template is split once, when the oracle is built, as
     ``build_prp_prompt`` splits it, and its text, the query and every
     passage are JSON-escaped then, once each. A call hands those bytes to
-    the connection as the pieces of its request body, which equals
-    ``llm_compare_batch``'s body for the prompts ``build_prp_prompt``
-    renders, without building any prompt or joining the body on its own.
+    ``_exchange`` as the pieces of the prompts' JSON items, which equal
+    ``json.dumps`` of the prompts ``build_prp_prompt`` renders, without
+    building any prompt or joining the body on its own.
     Rendering each prompt with ``build_prp_prompt`` and posting their
     ``json.dumps`` instead cost the benchmark's ``llm-batched`` workload
     4.7-5.2% of its cells per second and 13% more peak RSS, in 5 of 5
@@ -695,8 +703,7 @@ class LlmOracle(Oracle):
     def __init__(self, connection: _Connection, query: str, candidates: Iterable[Candidate]):
         if query is None:
             raise InvalidConfig("the query has no text")
-        endpoint = connection.endpoint
-        template = endpoint.prompt_template
+        template = connection.endpoint.prompt_template
         texts, slots = _template_parts(DEFAULT_PROMPT_TEMPLATE if template is None else template)
         # The query is the same in every prompt, so it joins the text around
         # it; a prompt is then chunks[0], and per passage slot the passage
@@ -712,8 +719,6 @@ class LlmOracle(Oracle):
                 chunks.append(b"")
             chunks[-1] += _json_chars(text)
         chunks[-1] += b'"'
-        model = json.dumps(endpoint.model).encode("ascii")
-        self._head = b'{"model": ' + model + b', "prompts": ['
         self._lead = chunks[0]
         self._next_lead = b", " + chunks[0]  # every prompt after the first
         self._layout = tuple(zip(sides, chunks[1:]))
@@ -729,7 +734,7 @@ class LlmOracle(Oracle):
 
     def compare_batch(self, reqs: Sequence[tuple[DocId, DocId]]) -> list[Preference]:
         passages, layout, next_lead = self._passages, self._layout, self._next_lead
-        parts = [self._head]
+        parts = []
         lead = self._lead
         for first, second in reqs:
             try:
@@ -740,7 +745,6 @@ class LlmOracle(Oracle):
             for side, chunk in layout:
                 parts += (pair[side], chunk)
             lead = next_lead
-        parts.append(b"]}")
         return _exchange(self._connection, parts, len(reqs))
 
 

@@ -5,7 +5,8 @@ in it exactly once, the ``new`` snippet that replaces it, and the test ids
 that must each fail once the replacement is made (an id without a
 ``[parameter]`` part fails when any of its parametrizations fails).
 ``tests/test_mutants.py`` checks that every ``old`` snippet is still there,
-once; ``scripts/mutants.py`` applies each row in a temporary copy of the
+once, and that pytest collects every test a row names;
+``scripts/mutants.py`` applies each row in a temporary copy of the
 repository and runs that row's tests. A change that rewrites a guarded line
 re-aims its row rather than dropping it.
 """
@@ -26,14 +27,13 @@ ALGORITHMS = "tests/test_algorithms.py::"
 ORACLES = "tests/test_oracles.py::"
 GOLDEN = ACCEPTANCE + "test_criterion_5_golden_values_zero_drift"
 NOISY_GOLDEN = ACCEPTANCE + "test_criterion_5_noisy_golden_zero_drift"
-REFERENCE = "tests/test_reference_sorters.py::test_sorters_ask_the_reference_questions"
-REQUESTS = (
-    "tests/test_reference_sorters.py::"
-    "test_outside_judges_get_requests_and_the_package_judges_plain_tuples"
-)
+OUTSIDE = "tests/test_reference_sorters.py::"
+REFERENCE = OUTSIDE + "test_sorters_ask_the_reference_questions"
+REQUESTS = OUTSIDE + "test_outside_judges_get_requests_and_the_package_judges_plain_tuples"
 EQUIVALENCE = ORACLES + "TestExecutorEquivalence"
 SEQUENCE = ALGORITHMS + "TestQuestionSequence"
 LLM = "tests/test_llm_client.py::"
+BODY = LLM + "TestRequestBody::test_body_is_the_json_of_the_rendered_prompts"
 POOL = LLM + "TestCellPool::"
 EXPERIMENT = "tests/test_experiment.py::"
 REPORTS = "tests/test_reports.py::"
@@ -149,6 +149,20 @@ MUTANTS = [
         "    return oracle if type(oracle) in _PAIR_ORACLES else _Requests(oracle)\n",
         "    return _Requests(oracle)\n",
         (REQUESTS,),
+    ),
+    Mutant(
+        "an outside oracle's answer passed on unchecked",
+        "oracles.py",
+        "        return self._checked(self.oracle.compare(ComparisonRequest(*req)))\n",
+        "        return self.oracle.compare(ComparisonRequest(*req))\n",
+        (OUTSIDE + "test_an_outside_judges_answer_that_is_no_preference_is_rejected",),
+    ),
+    Mutant(
+        "an outside oracle's batch of the wrong size passed on",
+        "oracles.py",
+        "        if not isinstance(answers, (list, tuple)) or len(answers) != len(reqs):\n",
+        "        if not isinstance(answers, (list, tuple)):\n",
+        (OUTSIDE + "test_an_outside_judges_batch_of_the_wrong_answers_is_rejected",),
     ),
     Mutant(
         "a noisy judge's outside base handed plain pairs",
@@ -271,9 +285,16 @@ MUTANTS = [
     Mutant(
         "an empty Authorization header sent",
         "oracles.py",
-        "    if api_key:\n        if not _REQUEST_TOKEN.fullmatch(api_key):",
-        "    if True:\n        if api_key and not _REQUEST_TOKEN.fullmatch(api_key):",
-        (LLM + "TestLlmCompareBatch::test_no_auth_header_without_key",),
+        '            + (f"Authorization: Bearer {api_key}\\r\\n" if api_key else "")\n',
+        '            + f"Authorization: Bearer {api_key}\\r\\n"\n',
+        (LLM + "TestLlmCompareBatch::test_no_auth_header_without_key", BODY),
+    ),
+    Mutant(
+        "the envelope's closing ]} dropped",
+        "oracles.py",
+        ', *prompts, b"]}"])',
+        ", *prompts])",
+        (BODY, LLM + "TestLlmCompareBatch::test_labels_map_in_order"),
     ),
     Mutant(
         "the free resend allowed on a fresh connection",
@@ -315,9 +336,10 @@ MUTANTS = [
     Mutant(
         "the request head and body sent in two writes",
         "oracles.py",
-        '            sock.sendall(b"".join((head, *parts)))\n',
-        '            sock.sendall(head)\n            sock.sendall(b"".join(parts))\n',
-        (LLM + "TestRequestBody",),
+        '            sock.sendall(b"".join((self._head, length, *parts)))\n',
+        "            sock.sendall(self._head + length)\n"
+        '            sock.sendall(b"".join(parts))\n',
+        (BODY,),
     ),
     Mutant(
         "a socket kept while unread bytes remain",
@@ -468,6 +490,17 @@ MUTANTS = [
         (
             "tests/test_api.py::test_readme_report_schema_lists_the_report_columns_in_order",
             EXPERIMENT + "TestEmission::test_jsonl_round_trip_is_exact",
+        ),
+    ),
+    # Input files (datasets.py).
+    Mutant(
+        "a line that is not UTF-8 read as text",
+        "datasets.py",
+        "            if not raw.isascii():\n",
+        "            if False:\n",
+        (
+            ACCEPTANCE + "test_criterion_10_format_robustness",
+            "tests/test_cli.py::TestRun::test_an_input_file_that_is_not_utf8_exits_nonzero",
         ),
     ),
     # Synthetic data (datasets.py).

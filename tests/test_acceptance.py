@@ -482,6 +482,16 @@ def test_criterion_10_format_robustness(tmp_path):
             load_qrels(str(qrels_path))
         assert excinfo.value.line == lineno
         checks += 1
+    # A byte that is not UTF-8 is a line-numbered FormatError too.
+    for path, load, data in [
+        (run_path, load_run_file, b"q1 Q0 dA 1 2.0 t\nq1 Q0 d\xffB 2 1.0 t\n"),
+        (qrels_path, load_qrels, b"q1 0 dA 1\nq1 0 d\xffB 0\n"),
+    ]:
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match="not UTF-8") as excinfo:
+            load(str(path))
+        assert excinfo.value.line == 2
+        checks += 1
 
     # Round trip: emit then re-parse at the declared 4-decimal precision.
     import csv as csv_module

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,14 @@ LLM_CONFIG = (
     ' {"url": "http://127.0.0.1:9/complete", "retries": 0}},'
     ' "k": 2, "algorithms": [{"algorithm": "heapsort"}]}'
 )
+
+LLM_INPUTS = {
+    "run.txt": "q1 Q0 dA 1 2.0 t\nq1 Q0 dB 2 1.0 t\nq2 Q0 dA 1 2.0 t\nq2 Q0 dB 2 1.0 t\n",
+    "qrels.txt": "q1 0 dA 1\n",
+    "queries.tsv": "q1\tfirst\nq2\tsecond\n",
+    "passages.tsv": "dA\ttext a\ndB\ttext b\n",
+    "config.json": LLM_CONFIG,
+}
 
 
 class TestVersion:
@@ -135,14 +144,7 @@ class TestRun:
 
     def test_summary_of_an_all_failed_algorithm(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        inputs = {
-            "run.txt": "q1 Q0 dA 1 2.0 t\nq1 Q0 dB 2 1.0 t\nq2 Q0 dA 1 2.0 t\nq2 Q0 dB 2 1.0 t\n",
-            "qrels.txt": "q1 0 dA 1\n",
-            "queries.tsv": "q1\tfirst\nq2\tsecond\n",
-            "passages.tsv": "dA\ttext a\ndB\ttext b\n",
-            "config.json": LLM_CONFIG,
-        }
-        for name, text in inputs.items():
+        for name, text in LLM_INPUTS.items():
             (tmp_path / name).write_text(text, encoding="utf-8")
         assert main(["run", "--config", "config.json", "--out", "r.csv"]) == 0
         last = capsys.readouterr().out.splitlines()[-1]
@@ -185,6 +187,13 @@ class TestRun:
             '{"dataset": {"synthetic": {"queries": 2, "n": 8}}, "seed": 5,'
             ' "oracle": {"kind": "noisy", "flip_probability": 0.1, "seed": 5},'
             ' "algorithms": [{"algorithm": "heapsort"}]}',
+            pytest.param(
+                '{"dataset": {"synthetic": {"queries": 2, "n": 8}}, "seed": ' + "1" * 5000 + ","
+                ' "algorithms": [{"algorithm": "heapsort"}]}',
+                marks=pytest.mark.skipif(
+                    not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit"
+                ),
+            ),
         ],
         ids=[
             "invalid-json",
@@ -206,6 +215,7 @@ class TestRun:
             "both-dataset-kinds",
             "algorithm-entry-k",
             "oracle-seed",
+            "integer-past-the-digit-limit",
         ],
     )
     def test_malformed_config_file_exits_nonzero(self, tmp_path, capsys, text):
@@ -213,6 +223,21 @@ class TestRun:
         path.write_text(text, encoding="utf-8")
         assert main(["run", "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("name", LLM_INPUTS)
+    def test_an_input_file_that_is_not_utf8_exits_nonzero(
+        self, tmp_path, capsys, monkeypatch, name
+    ):
+        monkeypatch.chdir(tmp_path)
+        for each, text in LLM_INPUTS.items():
+            (tmp_path / each).write_bytes(text.encode() + (b"\xff\n" if each == name else b""))
+        assert main(["run", "--config", "config.json", "--out", "r.csv"]) == 2
+        if name == "config.json":
+            error = "error: config.json is not valid JSON: 'utf-8' codec can't decode byte 0xff"
+        else:  # the byte is on the line after the file's last one
+            error = f"error: line {LLM_INPUTS[name].count(chr(10)) + 1}: not UTF-8 text\n"
+        assert capsys.readouterr().err.startswith(error)
+        assert not (tmp_path / "r.csv").exists()
 
     def test_invalid_override_combination_exits_nonzero(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -9,6 +9,7 @@ import time
 import urllib.request
 from contextlib import closing, contextmanager
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -145,11 +146,30 @@ class TestLlmCompareBatch:
         llm_compare_batch(endpoint_for(server), ["p1"])
         assert server.requests[0]["authorization"] is None
 
+    def test_a_key_changed_after_a_connection_opened_is_sent_from_the_next_one_on(
+        self, server, monkeypatch
+    ):
+        # The key is read when a connection opens, into the head of every
+        # request it carries.
+        monkeypatch.setenv("PRP_SORT_API_KEY", "one")
+        with llm_oracle(endpoint_for(server), "q", CANDIDATES) as oracle:
+            oracle.compare(ComparisonRequest("dA", "dB"))
+            monkeypatch.setenv("PRP_SORT_API_KEY", "two")
+            oracle.compare(ComparisonRequest("dA", "dB"))
+            oracle._connection.close()
+            oracle.compare(ComparisonRequest("dA", "dB"))
+            monkeypatch.delenv("PRP_SORT_API_KEY")
+            oracle.compare(ComparisonRequest("dA", "dB"))
+        sent = [request["authorization"] for request in server.requests]
+        assert sent == ["Bearer one", "Bearer one", "Bearer two", "Bearer two"]
+        assert server.connections == 2
+
     def test_api_key_that_would_break_the_request_head_is_rejected(self, server, monkeypatch):
         monkeypatch.setenv("PRP_SORT_API_KEY", "sekret\r\nX-Injected: 1")
         with pytest.raises(InvalidConfig, match="PRP_SORT_API_KEY"):
             llm_compare_batch(endpoint_for(server), ["p1"])
         assert server.requests == []
+        assert server.connections == 0
 
 
 class TestLlmOracle:
@@ -235,12 +255,21 @@ templates = st.one_of(
 
 
 class OneReplySocket:
-    """A connected socket stand-in: records each write and answers with
-    ``reply``."""
+    """A connected socket stand-in for ``socket.create_connection`` to
+    return: records each write and answers with ``reply``. Its descriptor,
+    which the connection registers for polling, is one end of a socket pair
+    that ``close`` closes."""
 
     def __init__(self, reply):
         self.writes = []
         self.reply = reply
+        self.pair = socket.socketpair()
+
+    def setsockopt(self, *args):
+        pass
+
+    def fileno(self):
+        return self.pair[0].fileno()
 
     def sendall(self, data):
         self.writes.append(bytes(data))
@@ -250,11 +279,27 @@ class OneReplySocket:
         return data
 
     def close(self):
-        pass
+        for end in self.pair:
+            end.close()
+
+
+def request_lines(body, key):
+    """The lines of the head of a request to ``http://backend.invalid/complete``
+    with ``body``, sent without a proxy and with ``key`` as the API key."""
+    auth = [b"Authorization: Bearer " + key.encode()] if key else []
+    return [
+        b"POST /complete HTTP/1.1",
+        b"Host: backend.invalid",
+        b"Accept-Encoding: identity",
+        b"Content-Type: application/json",
+        *auth,
+        content_length(body),
+    ]
 
 
 class TestRequestBody:
-    """A call's request leaves in one write, whose body, joined from escaped
+    """A call's request leaves in one write, whose head is the one its
+    connection rendered when it opened and whose body, joined from escaped
     bytes, is the body of the rendered prompts."""
 
     @given(
@@ -263,10 +308,11 @@ class TestRequestBody:
         query=texts,
         passages=st.lists(texts, min_size=2, max_size=5),
         picks=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=6),
+        key=st.one_of(st.just(""), st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E))),
     )
     @settings(max_examples=300, deadline=None)
     def test_body_is_the_json_of_the_rendered_prompts(
-        self, model, template, query, passages, picks
+        self, model, template, query, passages, picks, key
     ):
         candidates = [Candidate(f"d{i}", text=text) for i, text in enumerate(passages)]
         reqs = [
@@ -276,17 +322,35 @@ class TestRequestBody:
             url="http://backend.invalid/complete", model=model, prompt_template=template
         )
         answer = json.dumps({"completions": ["Passage B"] * len(reqs)}).encode()
-        sock = OneReplySocket(reply(b"HTTP/1.1 200 OK", content_length(answer), body=answer))
-        with closing(_Connection(endpoint)) as connection:
-            connection._open = lambda: setattr(connection, "_sock", sock) or sock
-            oracle = LlmOracle(connection, query, candidates)
-            assert oracle.compare_batch(reqs) == [Preference.SECOND] * len(reqs)
-        [request] = sock.writes
-        head, _, body = request.partition(b"\r\n\r\n")
-        assert b"\r\n" + content_length(body) + b"\r\n" in head + b"\r\n"
+        socks = [
+            OneReplySocket(reply(b"HTTP/1.1 200 OK", content_length(answer), body=answer))
+            for _ in range(2)
+        ]
+        unused = list(socks)
         by_doc = {cand.doc: cand for cand in candidates}
         prompts = [build_prp_prompt(query, by_doc[a], by_doc[b], template) for a, b in reqs]
-        assert body == json.dumps({"model": model, "prompts": prompts}).encode()
+        # The oracle's connection opens on the first socket, and
+        # llm_compare_batch's on the second.
+        with (
+            mock.patch.dict(os.environ, {"PRP_SORT_API_KEY": key}),
+            mock.patch("urllib.request.getproxies", dict),
+            mock.patch("socket.create_connection", lambda *args, **kwargs: unused.pop(0)),
+        ):
+            try:
+                with closing(_Connection(endpoint)) as connection:
+                    oracle = LlmOracle(connection, query, candidates)
+                    assert oracle.compare_batch(reqs) == [Preference.SECOND] * len(reqs)
+                assert llm_compare_batch(endpoint, prompts) == [Preference.SECOND] * len(reqs)
+            finally:
+                for sock in socks:
+                    sock.close()
+        assert unused == []
+        for sock in socks:
+            [request] = sock.writes
+            head, _, body = request.partition(b"\r\n\r\n")
+            assert b"\r\n" + content_length(body) + b"\r\n" in head + b"\r\n"
+            assert head.split(b"\r\n") == request_lines(body, key)
+            assert body == json.dumps({"model": model, "prompts": prompts}).encode()
 
 
 def clear_proxies(monkeypatch):

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from prp_sort import (
     BatchExecutor,
     ComparisonRequest,
+    InvalidConfig,
     NoisyOracle,
     Oracle,
     PivotStrategy,
@@ -233,3 +234,72 @@ def test_outside_judges_get_requests_and_the_package_judges_plain_tuples(instanc
     asked = len(items) > 1
     assert outside.types == ({ComparisonRequest} if asked else set())
     assert score_types == ({tuple} if asked else set())
+
+
+class _Answers(Oracle):
+    """A judge defined outside the package that answers every ``compare``
+    with ``answer`` and every ``compare_batch`` with ``batch(reqs)``."""
+
+    def __init__(self, answer, batch=None):
+        self.answer = answer
+        self.batch = batch
+
+    def compare(self, req):
+        return self.answer
+
+    def compare_batch(self, reqs):
+        return self.batch(reqs) if self.batch else super().compare_batch(reqs)
+
+
+DOCS = [f"d{i}" for i in range(8)]
+SORTS = {
+    "heapsort": lambda judge, executor: heapsort_topk(DOCS, 6, judge, executor),
+    "bubblesort": lambda judge, executor: bubblesort_topk(DOCS, 6, judge, executor),
+    "quicksort": lambda judge, executor: quicksort_topk(
+        DOCS, 6, judge, executor, pivot=PivotStrategy.FIRST, partial=False
+    ),
+}
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["judge", "noisy-base"])
+@pytest.mark.parametrize("answer", [None, "FIRST", True])
+@pytest.mark.parametrize(
+    "sort, use_cache",
+    [("heapsort", False), ("bubblesort", False), ("bubblesort", True), ("quicksort", False)],
+    ids=["heapsort", "bubblesort", "bubblesort-cached", "quicksort"],
+)
+def test_an_outside_judges_answer_that_is_no_preference_is_rejected(
+    sort, use_cache, answer, noisy
+):
+    judge = _Answers(answer)
+    executor = BatchExecutor(use_cache=use_cache)
+    with pytest.raises(InvalidConfig, match=f"_Answers answered {answer!r}, not a Preference"):
+        SORTS[sort](NoisyOracle(judge, 0.5, 1) if noisy else judge, executor)
+    assert executor.ledger.inference_calls == 0
+    assert executor._memo == ({} if use_cache else None)
+
+
+@pytest.mark.parametrize(
+    "batch, error",
+    [
+        (lambda reqs: [], "answered 7 requests with 0 answers"),
+        (lambda reqs: [Preference.FIRST] * 8, "answered 7 requests with 8 answers"),
+        (lambda reqs: None, "answered 7 requests with None"),
+        (lambda reqs: [Preference.FIRST] * 6 + [None], "answered None, not a Preference"),
+    ],
+    ids=["none", "one-too-many", "not-a-list", "one-not-a-preference"],
+)
+@pytest.mark.parametrize("use_cache", [False, True], ids=["quicksort", "cached-partition"])
+def test_an_outside_judges_batch_of_the_wrong_answers_is_rejected(batch, error, use_cache):
+    # A partition around the first document asks the 7 others in one chunk.
+    # Quicksort takes no cache, so a cached executor is tried on the
+    # partition step alone.
+    judge = _Answers(Preference.FIRST, batch)
+    executor = BatchExecutor(8, use_cache=use_cache)
+    with pytest.raises(InvalidConfig, match=f"_Answers.* {error}"):
+        if use_cache:
+            batch_partition(list(DOCS), 0, len(DOCS) - 1, 0, executor, judge)
+        else:
+            SORTS["quicksort"](judge, executor)
+    assert executor.ledger.inference_calls == 0
+    assert executor._memo == ({} if use_cache else None)
