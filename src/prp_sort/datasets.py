@@ -38,9 +38,10 @@ class Dataset:
 
 def _lines(path: str) -> Iterator[tuple[int, str]]:
     """Yield (1-based line number, line without its newline) for each line of
-    ``path`` that holds more than whitespace; a line that is not UTF-8, read
-    with a lone surrogate for each bad byte, is a FormatError."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+    ``path`` that holds more than whitespace, less a leading byte-order mark;
+    a line that is not UTF-8, read with a lone surrogate for each bad byte, is
+    a FormatError."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(handle, start=1):
             if not raw.isascii():
                 try:

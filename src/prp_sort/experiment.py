@@ -301,9 +301,10 @@ def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
 
 
 def read_config_json(path: str) -> dict[str, Any]:
-    """The JSON object in a config file; a file that is not valid UTF-8 JSON,
-    or whose top level is not an object, is an InvalidConfig error."""
-    with open(path, encoding="utf-8") as handle:
+    """The JSON object in a config file, which may start with a byte-order
+    mark; a file that is not valid UTF-8 JSON, or whose top level is not an
+    object, is an InvalidConfig error."""
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             raw = json.load(handle)
         except ValueError as exc:  # also a UnicodeDecodeError or an over-long integer

@@ -24,7 +24,7 @@ class Preference(Enum):
     SECOND = "second"
 
     def flipped(self) -> Preference:
-        return _FLIPPED[self._value_]
+        return _SECOND if self is _FIRST else _FIRST
 
 
 # The per-question paths read these names, not ``Preference.FIRST``: on
@@ -33,9 +33,6 @@ class Preference(Enum):
 # times the cost of a module global. From 3.12 the two cost the same.
 _FIRST = Preference.FIRST
 _SECOND = Preference.SECOND
-
-# Keyed by value: a str hashes in C, an Enum member through Python code.
-_FLIPPED = {"first": _SECOND, "second": _FIRST}
 
 
 @dataclass(frozen=True, slots=True)

@@ -156,8 +156,6 @@ class NoisyOracle(Oracle):
 
     def compare(self, req: tuple[DocId, DocId]) -> Preference:
         answer = self._ask_base(req)
-        if self.flip_probability == 0.0:
-            return answer
         a, b = req
         lo, hi = pair = (a, b) if a < b else (b, a)
         flip = self._flips.get(pair)
@@ -267,10 +265,11 @@ _SLOT = re.compile(r"\{(query|passage_a|passage_b)\}")
 
 
 @lru_cache(maxsize=16)
-def _template_parts(template: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """(texts, slots) of a prompt template, split once on its placeholders:
-    the prompt is texts[0], then each slot's value followed by the next text."""
-    parts = _SLOT.split(template)
+def _template_parts(template: str | None) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """(texts, slots) of a prompt template, None for DEFAULT_PROMPT_TEMPLATE,
+    split once on its placeholders: the prompt is texts[0], then each slot's
+    value followed by the next text."""
+    parts = _SLOT.split(DEFAULT_PROMPT_TEMPLATE if template is None else template)
     return tuple(parts[0::2]), tuple(parts[1::2])
 
 
@@ -289,7 +288,7 @@ def build_prp_prompt(
     for cand in (a, b):
         if cand.text is None:
             raise InvalidConfig(f"candidate {cand.doc!r} has no passage text")
-    texts, slots = _template_parts(DEFAULT_PROMPT_TEMPLATE if template is None else template)
+    texts, slots = _template_parts(template)
     values = {"query": query, "passage_a": a.text, "passage_b": b.text}
     out = [texts[0]]
     for slot, text in zip(slots, texts[1:]):
@@ -703,8 +702,7 @@ class LlmOracle(Oracle):
     def __init__(self, connection: _Connection, query: str, candidates: Iterable[Candidate]):
         if query is None:
             raise InvalidConfig("the query has no text")
-        template = connection.endpoint.prompt_template
-        texts, slots = _template_parts(DEFAULT_PROMPT_TEMPLATE if template is None else template)
+        texts, slots = _template_parts(connection.endpoint.prompt_template)
         # The query is the same in every prompt, so it joins the text around
         # it; a prompt is then chunks[0], and per passage slot the passage
         # (0 for A, 1 for B) followed by the next chunk. A prompt's quotes

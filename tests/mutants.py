@@ -37,6 +37,7 @@ BODY = LLM + "TestRequestBody::test_body_is_the_json_of_the_rendered_prompts"
 POOL = LLM + "TestCellPool::"
 EXPERIMENT = "tests/test_experiment.py::"
 REPORTS = "tests/test_reports.py::"
+CLI = "tests/test_cli.py::TestRun::"
 
 MUTANTS = [
     # Sorters (algorithms.py).
@@ -500,7 +501,27 @@ MUTANTS = [
         "            if False:\n",
         (
             ACCEPTANCE + "test_criterion_10_format_robustness",
-            "tests/test_cli.py::TestRun::test_an_input_file_that_is_not_utf8_exits_nonzero",
+            CLI + "test_an_input_file_that_is_not_utf8_exits_nonzero",
+        ),
+    ),
+    Mutant(
+        "an input file's byte-order mark read as part of its first line",
+        "datasets.py",
+        'encoding="utf-8-sig", errors="surrogateescape"',
+        'encoding="utf-8", errors="surrogateescape"',
+        (
+            ACCEPTANCE + "test_criterion_10_format_robustness",
+            CLI + "test_input_files_may_start_with_a_byte_order_mark",
+        ),
+    ),
+    Mutant(
+        "a config's byte-order mark rejected as invalid JSON",
+        "experiment.py",
+        '    with open(path, encoding="utf-8-sig") as handle:\n',
+        '    with open(path, encoding="utf-8") as handle:\n',
+        (
+            ACCEPTANCE + "test_criterion_10_format_robustness",
+            CLI + "test_input_files_may_start_with_a_byte_order_mark",
         ),
     ),
     # Synthetic data (datasets.py).

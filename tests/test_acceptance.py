@@ -22,7 +22,6 @@ import itertools
 import json
 import math
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 from random import Random
 
@@ -46,6 +45,7 @@ from prp_sort import (
 from prp_sort.cli import main as cli_main
 from prp_sort.errors import FormatError
 from prp_sort.experiment import compute_aggregates
+from goldens import aggregate_records, sweep
 from helpers import RecordingExecutor, random_instance, true_topk
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -185,8 +185,7 @@ def test_criterion_4_bubblesort_cache_invariance():
 def cost_model_aggregates():
     """The reference sweep: 200 synthetic queries, n=100, k=10,
     deterministic score oracle (configs/cost_model.json)."""
-    report = run_experiment(load_config(str(COST_MODEL_CONFIG)))
-    return {a.algorithm: a for a in report.aggregates}
+    return {a.algorithm: a for a in sweep(COST_MODEL_CONFIG).aggregates}
 
 
 def test_criterion_5a_quicksort_b2_beats_heapsort(cost_model_aggregates):
@@ -313,14 +312,13 @@ def test_documented_repeats_and_groups():
     assert counts["quick_same"] + counts["quick_reversed"] == 2 * counts["tournaments"]
 
 
-def _drift(golden: dict, aggregates: dict) -> list[str]:
+def _drift(golden: dict, records: dict) -> list[str]:
     """The golden fields whose aggregate value differs from the committed one."""
-    assert set(golden) == set(aggregates)
+    assert set(golden) == set(records)
     drifted = []
     for label, expected in golden.items():
-        agg = aggregates[label]
         for field_name, value in expected.items():
-            got = getattr(agg, field_name)
+            got = records[label][field_name]
             if got != value:
                 drifted.append(f"{label}.{field_name}: {got!r} != {value!r}")
     return drifted
@@ -331,7 +329,7 @@ def test_criterion_5_golden_values_zero_drift(cost_model_aggregates):
     file exactly; regenerate via scripts/make_goldens.py only on an
     intentional accounting change."""
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["aggregates"]
-    drifted = _drift(golden, cost_model_aggregates)
+    drifted = _drift(golden, aggregate_records(cost_model_aggregates.values()))
     _report(
         "5 (golden zero drift)",
         not drifted,
@@ -345,14 +343,12 @@ def test_criterion_5_noisy_golden_zero_drift():
     pairs each sorter asks, so this pins the pairs asked as well as the
     cost."""
     golden = json.loads(NOISY_GOLDEN_PATH.read_text(encoding="utf-8"))
-    config = load_config(str(ROOT / golden["source_config"]))
-    config = replace(config, dataset=replace(config.dataset, num_queries=golden["queries"]))
-    aggregates = {a.algorithm: a for a in run_experiment(config).aggregates}
-    drifted = _drift(golden["aggregates"], aggregates)
+    records = aggregate_records(sweep(ROOT / golden["source_config"], golden["queries"]).aggregates)
+    drifted = _drift(golden["aggregates"], records)
     _report(
         "5 (noisy golden zero drift)",
         not drifted,
-        f"{len(aggregates)} aggregates over {golden['queries']} queries match"
+        f"{len(records)} aggregates over {golden['queries']} queries match"
         if not drifted
         else "; ".join(drifted),
     )
@@ -459,7 +455,7 @@ def test_criterion_9_pipeline_determinism(tmp_path):
 def test_criterion_10_format_robustness(tmp_path):
     """Parsers reject the documented malformed inputs with line numbers;
     emitted reports re-parse to the same values at declared precision."""
-    from prp_sort import load_qrels, load_run_file
+    from prp_sort import load_id_text_tsv, load_qrels, load_run_file
 
     run_path = tmp_path / "run.txt"
     checks = 0
@@ -492,6 +488,24 @@ def test_criterion_10_format_robustness(tmp_path):
             load(str(path))
         assert excinfo.value.line == 2
         checks += 1
+    # A leading byte-order mark is not part of the first id, in any input file.
+    tsv_path = tmp_path / "queries.tsv"
+    for path, ids, data in [
+        (run_path, lambda p: [q.qid for q in load_run_file(p)], "q1 Q0 dA 1 2.0 t\n"),
+        (qrels_path, lambda p: list(load_qrels(p)), "q1 0 dA 1\nq1 0 dB 0\n"),
+        (tsv_path, lambda p: list(load_id_text_tsv(p)), "q1\tfirst\n"),
+    ]:
+        path.write_text("\ufeff" + data, encoding="utf-8")
+        assert ids(str(path)) == ["q1"]
+        checks += 1
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        '\ufeff{"dataset": {"synthetic": {"queries": 2, "n": 8}},'
+        ' "algorithms": [{"algorithm": "heapsort"}]}',
+        encoding="utf-8",
+    )
+    assert load_config(str(config_path)).dataset.n == 8
+    checks += 1
 
     # Round trip: emit then re-parse at the declared 4-decimal precision.
     import csv as csv_module

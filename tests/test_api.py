@@ -41,8 +41,9 @@ def _used_names(source: str) -> set[str]:
 
 
 def _outside_uses() -> set[str]:
-    sources = [p.read_text(encoding="utf-8") for p in sorted(ROOT.glob("scripts/*.py"))]
-    sources += [p.read_text(encoding="utf-8") for p in sorted(ROOT.glob("benchmark/*.py"))]
+    paths = sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("benchmark/*.py"))
+    paths.append(ROOT / "tests" / "goldens.py")  # the module the golden scripts import
+    sources = [p.read_text(encoding="utf-8") for p in paths]
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     sources += re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
     names = set()

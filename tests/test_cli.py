@@ -239,6 +239,17 @@ class TestRun:
         assert capsys.readouterr().err.startswith(error)
         assert not (tmp_path / "r.csv").exists()
 
+    def test_input_files_may_start_with_a_byte_order_mark(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        reports = []
+        for mark in (b"", "\ufeff".encode()):
+            for name, text in LLM_INPUTS.items():
+                (tmp_path / name).write_bytes(mark + text.encode())
+            assert main(["run", "--config", "config.json", "--out", "r.csv"]) == 0
+            reports.append((tmp_path / "r.csv").read_bytes())
+        assert reports[0] == reports[1]
+        assert b",q1,failed," in reports[0]
+
     def test_invalid_override_combination_exits_nonzero(self, tmp_path, capsys):
         config = write_config(tmp_path)
         code = main(["run", "--config", config, "--algo", "heapsort", "--batch-size", "4"])

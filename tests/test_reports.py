@@ -1,43 +1,30 @@
 """Report bytes are pinned: every score and noisy config's CSV and JSON-lines
 report hashes to its digest in ``tests/golden/report_digests.json``, and one
-hand-built report writes exactly the text below. Regenerate the digests
-with ``scripts/make_goldens.py`` only on an intentional format change."""
+hand-built report writes exactly the text below. ``tests/goldens.py``
+computes the digests; regenerate them with ``scripts/make_goldens.py`` only on
+an intentional format change."""
 
-import hashlib
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from prp_sort import AlgoConfig, Algorithm, emit_report, load_config, run_experiment
+from prp_sort import AlgoConfig, Algorithm, emit_report
 from prp_sort.experiment import ExperimentReport, QueryRow
+from goldens import FORMATS, pinned_configs, report_digests, sweep
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = json.loads((ROOT / "tests" / "golden" / "report_digests.json").read_text("utf-8"))
-FORMATS = ("csv", "jsonl")
 
 
 def test_every_score_and_noisy_config_has_digests():
-    configs = sorted((ROOT / "configs").glob("*.json"))
-    pinned = [
-        str(path.relative_to(ROOT))
-        for path in configs
-        if load_config(str(path)).oracle.kind in ("score", "noisy")
-    ]
-    assert sorted(DIGESTS["sha256"]) == pinned
+    assert sorted(DIGESTS["sha256"]) == [str(path.relative_to(ROOT)) for path in pinned_configs()]
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS["sha256"]))
-def test_report_bytes_match_the_digests(name, tmp_path):
-    config = load_config(str(ROOT / name))
-    config = replace(config, dataset=replace(config.dataset, num_queries=DIGESTS["queries"]))
-    report = run_experiment(config)
-    for out_format in FORMATS:
-        path = tmp_path / f"report.{out_format}"
-        emit_report(report, out_format, str(path))
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == DIGESTS["sha256"][name][out_format], out_format
+def test_report_bytes_match_the_digests(name):
+    report = sweep(ROOT / name, DIGESTS["queries"])
+    assert report_digests(report) == DIGESTS["sha256"][name]
 
 
 def _hand_built_report() -> ExperimentReport:

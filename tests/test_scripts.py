@@ -11,6 +11,7 @@ import pytest
 
 from prp_sort import load_config
 from prp_sort.cli import main as cli_main
+from goldens import pinned_configs
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -29,18 +30,26 @@ def test_script_runs(script):
     assert "2 queries, n=12" in result.stdout
 
 
+def _cross_python(*args: str) -> subprocess.CompletedProcess:
+    command = [sys.executable, str(SCRIPTS / "cross_python.py"), *args]
+    return subprocess.run(command, capture_output=True, text=True, timeout=120)
+
+
 def test_cross_python_compares_every_score_and_noisy_report():
-    result = subprocess.run(
-        [sys.executable, str(SCRIPTS / "cross_python.py"), sys.executable, "--queries", "2"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    result = _cross_python(sys.executable, "--queries", "2")
     assert result.returncode == 0, result.stderr
     compared = [line for line in result.stdout.splitlines() if f"({sys.executable})" in line]
-    # Every config is a score or noisy sweep, written as CSV and JSON lines.
-    assert len(compared) == 2 * len(CONFIGS)
+    # Every pinned config's report, written as CSV and JSON lines.
+    assert len(compared) == 2 * len(pinned_configs())
     assert all(line.endswith("  identical") for line in compared)
+
+
+def test_cross_python_fails_on_an_interpreter_it_cannot_start(tmp_path):
+    missing = str(tmp_path / "python3")
+    result = _cross_python(missing, "--queries", "1")
+    assert result.returncode == 1
+    assert f"{missing}: cannot start" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.name)
