@@ -20,7 +20,7 @@ from typing import Any, Iterable, Sequence
 
 from .errors import InvalidConfig
 from .model import _FIRST, _SECOND, CostLedger, DocId
-from .oracles import BatchExecutor, Oracle, _asking_pairs
+from .oracles import BatchExecutor, Oracle
 from .seeding import stable_seed
 
 
@@ -111,12 +111,11 @@ def _entry(
     algorithm: Algorithm,
     items: Iterable[DocId],
     k: int,
-    oracle: Oracle,
     executor: BatchExecutor | None,
-) -> tuple[list[DocId], int, Oracle, BatchExecutor]:
+) -> tuple[list[DocId], int, BatchExecutor]:
     """Check a sorter's executor (a fresh one if None), candidates and k, in
-    that order; returns (the candidates as a list, k clamped to them, the
-    oracle to ask plain (first, second) pairs, executor)."""
+    that order; returns (the candidates as a list, k clamped to them,
+    executor)."""
     executor = BatchExecutor() if executor is None else executor
     _check_executor(algorithm, executor.batch_size, executor.use_cache)
     order = list(items)
@@ -133,7 +132,7 @@ def _entry(
         # stacklevel 3 points the warning at the sorter's caller.
         warnings.warn(f"k={k} exceeds the {n} available items; clamping to {n}", stacklevel=3)
         k = n
-    return order, k, _asking_pairs(oracle), executor
+    return order, k, executor
 
 
 def heapsort_topk(
@@ -151,7 +150,7 @@ def heapsort_topk(
     yet takes no cache. Returns the k extracted ids in extraction order
     (most relevant first).
     """
-    heap, k, oracle, executor = _entry(Algorithm.HEAPSORT, items, k, oracle, executor)
+    heap, k, executor = _entry(Algorithm.HEAPSORT, items, k, executor)
     n = len(heap)
     ask = executor.ask
 
@@ -196,7 +195,7 @@ def bubblesort_topk(
     Given a caching executor, the pair sequence, outcomes and ranking are
     identical to the classic run; only the hit/call split differs.
     """
-    order, k, oracle, executor = _entry(Algorithm.BUBBLESORT, items, k, oracle, executor)
+    order, k, executor = _entry(Algorithm.BUBBLESORT, items, k, executor)
     n = len(order)
     ask = executor.ask
     for p in range(k):
@@ -247,7 +246,7 @@ def select_pivot(
         return lo
     middle = (lo + hi) // 2
     a, b, c = order[lo], order[middle], order[hi]
-    ab, ac, bc = executor.submit_group(_asking_pairs(oracle), ((a, b), (a, c), (b, c)))
+    ab, ac, bc = executor.submit_group(oracle, ((a, b), (a, c), (b, c)))
     if ab is bc:
         return middle  # b sits between a and c, or the triple is a cycle
     # b beat both or lost to both, so a is the median exactly when its
@@ -272,13 +271,13 @@ def batch_partition(
     """
     pivot_doc = order[pivot_index]
     others = order[lo:pivot_index] + order[pivot_index + 1 : hi + 1]
-    prefs = executor.submit_group(_asking_pairs(oracle), [(doc, pivot_doc) for doc in others])
+    prefs = executor.submit_group(oracle, [(doc, pivot_doc) for doc in others])
     left: list[DocId] = []
     right: list[DocId] = []
     for doc, pref in zip(others, prefs):
         if pref is _FIRST:
             left.append(doc)
-        else:  # _SECOND: _Requests checks that an outside oracle answers a Preference
+        else:  # _SECOND: Oracle checks that an outside judge answers a Preference
             right.append(doc)
     order[lo : hi + 1] = left + [pivot_doc] + right
     return left, right
@@ -303,7 +302,7 @@ def quicksort_topk(
     only how misses are chunked into calls, so the ranking is invariant
     across batch sizes.
     """
-    order, k, oracle, executor = _entry(Algorithm.QUICKSORT, items, k, oracle, executor)
+    order, k, executor = _entry(Algorithm.QUICKSORT, items, k, executor)
     n = len(order)
     segments = [(0, n - 1)]
     while segments:

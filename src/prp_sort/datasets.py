@@ -119,14 +119,19 @@ def load_qrels(path: str) -> dict[str, dict[DocId, int]]:
 
 
 def load_id_text_tsv(path: str) -> dict[str, str]:
-    """Parse an id<TAB>text map (used for query texts and passages)."""
-    texts: dict[str, str] = {}
+    """Parse an id<TAB>text map (used for query texts and passages); a
+    repeated id keeps its last text."""
+    return dict(_id_texts(path))
+
+
+def _id_texts(path: str) -> Iterator[tuple[str, str]]:
+    """Yield (id, text) for each line of an id<TAB>text file, in file order;
+    a line without a tab is a FormatError."""
     for lineno, line in _lines(path):
         if "\t" not in line:
             raise FormatError("expected id<TAB>text", lineno)
         key, text = line.split("\t", 1)
-        texts[key] = text
-    return texts
+        yield key, text
 
 
 # Cumulative score-rank quantiles for synthetic graded relevance:

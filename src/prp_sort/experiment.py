@@ -23,13 +23,7 @@ from enum import Enum
 from typing import Any, Sequence
 
 from .algorithms import Algorithm, AlgoConfig, PivotStrategy, run_algorithm
-from .datasets import (
-    Dataset,
-    generate_synthetic,
-    load_id_text_tsv,
-    load_qrels,
-    load_run_file,
-)
+from .datasets import Dataset, _id_texts, generate_synthetic, load_qrels, load_run_file
 from .errors import BackendFailure, InvalidConfig
 from .metrics import ndcg_at_k
 from .model import Candidate, CostLedger
@@ -324,12 +318,15 @@ def _load_dataset(config: ExperimentConfig) -> Dataset:
         return generate_synthetic(source.num_queries, source.n, config.master_seed)
     queries = load_run_file(source.run_path, depth=source.depth)
     grades = load_qrels(source.qrels_path)
+    # Each TSV is parsed whole, but only the texts the run names are kept.
     if source.queries_path:
-        query_texts = load_id_text_tsv(source.queries_path)
+        qids = {query.qid for query in queries}
+        query_texts = {qid: text for qid, text in _id_texts(source.queries_path) if qid in qids}
         for query in queries:
             query.text = query_texts.get(query.qid)
     if source.passages_path:
-        passages = load_id_text_tsv(source.passages_path)
+        docs = {c.doc for query in queries for c in query.candidates}
+        passages = {doc: text for doc, text in _id_texts(source.passages_path) if doc in docs}
         for query in queries:
             query.candidates = [Candidate(c.doc, passages.get(c.doc)) for c in query.candidates]
     if config.oracle.kind == "llm":

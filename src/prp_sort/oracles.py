@@ -20,9 +20,9 @@ import urllib.parse
 import warnings
 from contextlib import closing
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from random import Random
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BackendFailure, InvalidConfig, ParseFallbackWarning
 from .model import _FIRST, _SECOND, Candidate, CostLedger, DocId, Preference
@@ -50,13 +50,22 @@ class Oracle:
     answer ``compare`` the same way, as ``LlmOracle`` does. An oracle holds
     nothing to close: ``LlmOracle`` sends over a connection its caller owns.
 
-    The sorters, ``select_pivot`` and ``batch_partition`` hand
-    ``ScoreOracle``, ``NoisyOracle`` and ``LlmOracle`` plain ``(first,
-    second)`` tuples, which are cheaper to build. Every other oracle, a
-    subclass of those three included, gets each request as a
-    ``ComparisonRequest``, whose ``.first`` and ``.second`` it may read,
-    also as the base of a ``NoisyOracle``.
+    The sorters and the executor ask every oracle plain ``(first, second)``
+    tuples, which are cheaper to build. A subclass defined outside this
+    module has each ``compare`` and ``compare_batch`` of its own class body
+    wrapped when the class is made: the method gets ``ComparisonRequest``s,
+    whose ``.first`` and ``.second`` it may read, and its answers must be
+    one ``Preference`` per request, else InvalidConfig before the executor
+    counts or memoizes the call. An inherited method stays as its class made
+    it: the package's unpack pairs and always answer a ``Preference``.
     """
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        if cls.__module__ != __name__:
+            for name in ("compare", "compare_batch"):
+                if name in vars(cls):
+                    setattr(cls, name, _asking_requests(name, vars(cls)[name]))
 
     def compare(self, req: ComparisonRequest) -> Preference:
         raise NotImplementedError
@@ -70,39 +79,32 @@ class Oracle:
         return [self.compare(r) for r in reqs]
 
 
-class _Requests(Oracle):
-    """Hands an oracle not in ``_PAIR_ORACLES`` each plain pair as a
-    ``ComparisonRequest``, one call for each call it gets, and checks that it
-    answers each with one ``Preference``, before the executor counts the call."""
+def _asking_requests(name: str, method: Callable[..., Any]) -> Callable[..., Any]:
+    """An outside judge's ``compare`` or ``compare_batch`` (``name``), handed
+    each plain pair as a ``ComparisonRequest``, with its answers checked."""
+    if name == "compare":
 
-    def __init__(self, oracle: Oracle):
-        self.oracle = oracle
-        self._name = type(oracle).__name__
+        @wraps(method)
+        def compare(self: Oracle, req: tuple[DocId, DocId]) -> Preference:
+            return _checked(self, method(self, ComparisonRequest(*req)))
 
-    def compare(self, req: tuple[DocId, DocId]) -> Preference:
-        return self._checked(self.oracle.compare(ComparisonRequest(*req)))
+        return compare
 
-    def compare_batch(self, reqs: Sequence[tuple[DocId, DocId]]) -> list[Preference]:
-        answers = self.oracle.compare_batch([ComparisonRequest(*req) for req in reqs])
+    @wraps(method)
+    def compare_batch(self: Oracle, reqs: Sequence[tuple[DocId, DocId]]) -> list[Preference]:
+        answers = method(self, [ComparisonRequest(*req) for req in reqs])
         if not isinstance(answers, (list, tuple)) or len(answers) != len(reqs):
             got = f"{len(answers)} answers" if isinstance(answers, (list, tuple)) else repr(answers)
-            raise InvalidConfig(f"{self._name} answered {len(reqs)} requests with {got}")
-        return [self._checked(answer) for answer in answers]
+            raise InvalidConfig(f"{type(self).__name__} answered {len(reqs)} requests with {got}")
+        return [_checked(self, answer) for answer in answers]
 
-    def _checked(self, answer: Preference) -> Preference:
-        if answer is not _FIRST and answer is not _SECOND:
-            raise InvalidConfig(f"{self._name} answered {answer!r}, not a Preference")
-        return answer
+    return compare_batch
 
 
-def _asking_pairs(oracle: Oracle) -> Oracle:
-    """``oracle`` itself if it is an instance of one of this module's oracle
-    classes, which read a request only by unpacking it; else ``oracle``
-    behind ``_Requests``. The test is on the exact class, so a subclass
-    defined elsewhere gets requests, whether or not it overrides ``compare``
-    or ``compare_batch``, while a profiler that wraps a method in place does
-    not change which path a sweep takes."""
-    return oracle if type(oracle) in _PAIR_ORACLES else _Requests(oracle)
+def _checked(oracle: Oracle, answer: Preference) -> Preference:
+    if answer is not _FIRST and answer is not _SECOND:
+        raise InvalidConfig(f"{type(oracle).__name__} answered {answer!r}, not a Preference")
+    return answer
 
 
 class ScoreOracle(Oracle):
@@ -151,11 +153,10 @@ class NoisyOracle(Oracle):
         self.base = base
         self.flip_probability = flip_probability
         self.seed = seed
-        self._ask_base = _asking_pairs(base).compare
         self._flips: dict[tuple[DocId, DocId], bool] = {}
 
     def compare(self, req: tuple[DocId, DocId]) -> Preference:
-        answer = self._ask_base(req)
+        answer = self.base.compare(req)
         a, b = req
         lo, hi = pair = (a, b) if a < b else (b, a)
         flip = self._flips.get(pair)
@@ -744,7 +745,3 @@ class LlmOracle(Oracle):
                 parts += (pair[side], chunk)
             lead = next_lead
         return _exchange(self._connection, parts, len(reqs))
-
-
-# The oracles that take plain (first, second) tuples; see ``_asking_pairs``.
-_PAIR_ORACLES = frozenset({ScoreOracle, NoisyOracle, LlmOracle, _Requests})

@@ -36,6 +36,7 @@ LLM = "tests/test_llm_client.py::"
 BODY = LLM + "TestRequestBody::test_body_is_the_json_of_the_rendered_prompts"
 POOL = LLM + "TestCellPool::"
 EXPERIMENT = "tests/test_experiment.py::"
+FILES = EXPERIMENT + "TestLoadDataset::"
 REPORTS = "tests/test_reports.py::"
 CLI = "tests/test_cli.py::TestRun::"
 
@@ -112,10 +113,8 @@ MUTANTS = [
     Mutant(
         "the partition asks (pivot, doc)",
         "algorithms.py",
-        "    prefs = executor.submit_group(_asking_pairs(oracle), [(doc, pivot_doc)"
-        " for doc in others])\n",
-        "    prefs = executor.submit_group(_asking_pairs(oracle), [(pivot_doc, doc)"
-        " for doc in others])\n"
+        "    prefs = executor.submit_group(oracle, [(doc, pivot_doc) for doc in others])\n",
+        "    prefs = executor.submit_group(oracle, [(pivot_doc, doc) for doc in others])\n"
         "    prefs = [pref.flipped() for pref in prefs]\n",
         (SEQUENCE, REFERENCE),
     ),
@@ -140,23 +139,26 @@ MUTANTS = [
     Mutant(
         "an outside oracle handed plain pairs",
         "oracles.py",
-        "    return oracle if type(oracle) in _PAIR_ORACLES else _Requests(oracle)\n",
-        "    return oracle\n",
+        "        if cls.__module__ != __name__:\n",
+        "        if False:\n",
         (REQUESTS,),
     ),
     Mutant(
         "the package's own oracles handed ComparisonRequests",
         "oracles.py",
-        "    return oracle if type(oracle) in _PAIR_ORACLES else _Requests(oracle)\n",
-        "    return _Requests(oracle)\n",
-        (REQUESTS,),
+        "        if cls.__module__ != __name__:\n",
+        "        if True:\n",
+        (REQUESTS, OUTSIDE + "test_only_the_methods_an_outside_class_body_defines_are_wrapped"),
     ),
     Mutant(
         "an outside oracle's answer passed on unchecked",
         "oracles.py",
-        "        return self._checked(self.oracle.compare(ComparisonRequest(*req)))\n",
-        "        return self.oracle.compare(ComparisonRequest(*req))\n",
-        (OUTSIDE + "test_an_outside_judges_answer_that_is_no_preference_is_rejected",),
+        "            return _checked(self, method(self, ComparisonRequest(*req)))\n",
+        "            return method(self, ComparisonRequest(*req))\n",
+        (
+            OUTSIDE + "test_an_outside_judges_answer_that_is_no_preference_is_rejected",
+            OUTSIDE + "test_an_outside_judges_answer_asked_directly_is_checked_before_it_is_counted",
+        ),
     ),
     Mutant(
         "an outside oracle's batch of the wrong size passed on",
@@ -168,9 +170,16 @@ MUTANTS = [
     Mutant(
         "a noisy judge's outside base handed plain pairs",
         "oracles.py",
-        "        self._ask_base = _asking_pairs(base).compare\n",
-        "        self._ask_base = base.compare\n",
+        "method(self, ComparisonRequest(*req))",
+        "method(self, req)",
         (REQUESTS,),
+    ),
+    Mutant(
+        "an outside compare_batch handed plain pairs",
+        "oracles.py",
+        "method(self, [ComparisonRequest(*req) for req in reqs])",
+        "method(self, list(reqs))",
+        (OUTSIDE + "test_an_outside_judge_asked_through_the_executor_directly_gets_requests",),
     ),
     Mutant(
         "ScoreOracle skips the self-pair check on a tie",
@@ -324,6 +333,13 @@ MUTANTS = [
         (LLM + "TestTransport::test_connection_on_a_descriptor_of_1024_or_more_is_reused",),
     ),
     Mutant(
+        "a failed send not resent on a fresh connection",
+        "oracles.py",
+        "        except OSError as exc:\n            raise _Unanswered(str(exc)) from exc\n",
+        "        except OSError as exc:\n            raise\n",
+        (LLM + "TestTransport::test_a_send_that_fails_on_a_reused_connection_is_sent_once_more",),
+    ),
+    Mutant(
         "one retry more than configured",
         "oracles.py",
         "        retries = self.endpoint.retries\n",
@@ -440,6 +456,21 @@ MUTANTS = [
         ' if config.oracle.kind == "llm" else 1\n',
         ' if config.oracle.kind == "llm" else LLM_CONCURRENCY\n',
         (POOL + "test_score_and_noisy_sweeps_run_on_one_worker",),
+    ),
+    # A file sweep's texts (experiment.py).
+    Mutant(
+        "passages kept for ids the run does not name",
+        "experiment.py",
+        "for doc, text in _id_texts(source.passages_path) if doc in docs}",
+        "for doc, text in _id_texts(source.passages_path)}",
+        (FILES + "test_texts_the_run_does_not_name_are_not_kept[passages]",),
+    ),
+    Mutant(
+        "query texts kept for ids the run does not name",
+        "experiment.py",
+        "for qid, text in _id_texts(source.queries_path) if qid in qids}",
+        "for qid, text in _id_texts(source.queries_path)}",
+        (FILES + "test_texts_the_run_does_not_name_are_not_kept[queries]",),
     ),
     # A cell's judge (experiment.py).
     Mutant(

@@ -3,6 +3,7 @@ import json
 import math
 import statistics
 import sys
+import tracemalloc
 from dataclasses import asdict, replace
 
 import pytest
@@ -28,9 +29,11 @@ from prp_sort.experiment import (
     ExperimentReport,
     FileSource,
     QueryRow,
+    _load_dataset,
     _pstdev,
     compute_aggregates,
 )
+from prp_sort.errors import FormatError
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -284,6 +287,60 @@ class TestRunExperiment:
         assert first == second
         clean = run_experiment(small_config())
         assert first != clean
+
+
+QUERY_TEXTS = "q1\tfirst query\nq2\tsecond query\n"
+PASSAGE_TEXTS = "dA\ttext a\ndB\ttext b\ndC\ttext c\ndD\ttext d\n"
+
+
+class TestLoadDataset:
+    """A file sweep keeps only the texts of the queries and candidates that
+    its run names, and still parses every line of both TSVs."""
+
+    def config(self, tmp_path, queries=QUERY_TEXTS, passages=PASSAGE_TEXTS):
+        source = FileSource(
+            run_path=write(tmp_path, "run.txt", RUN_TEXT),
+            qrels_path=write(tmp_path, "qrels.txt", QRELS_TEXT),
+            queries_path=write(tmp_path, "queries.tsv", queries),
+            passages_path=write(tmp_path, "passages.tsv", passages),
+        )
+        return small_config(dataset=source)
+
+    @staticmethod
+    def texts(dataset):
+        return (
+            {query.qid: query.text for query in dataset.queries},
+            {c.doc: c.text for query in dataset.queries for c in query.candidates},
+        )
+
+    @pytest.mark.parametrize("tsv", ["queries", "passages"])
+    def test_texts_the_run_does_not_name_are_not_kept(self, tmp_path, tsv):
+        # 20,000 lines the run does not name, about 4.4 MB, around the ones
+        # it does: keeping them all peaks near 7 MB.
+        unused = [f"x{i:05d}\t{'text the run does not name ' * 8}\n" for i in range(20_000)]
+        named = QUERY_TEXTS if tsv == "queries" else PASSAGE_TEXTS
+        text = "".join(unused[:10_000]) + named + "".join(unused[10_000:])
+        config = self.config(tmp_path, **{tsv: text})
+        tracemalloc.start()
+        try:
+            dataset = _load_dataset(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert self.texts(dataset) == self.texts(_load_dataset(self.config(tmp_path)))
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("tsv", ["queries", "passages"])
+    def test_every_line_is_parsed_and_a_repeated_id_keeps_its_last_text(self, tmp_path, tsv):
+        named = QUERY_TEXTS if tsv == "queries" else PASSAGE_TEXTS
+        key = named.split("\t")[0]
+        repeated = named + f"unused\tunused text\n{key}\tits last text\n"
+        queries, passages = self.texts(_load_dataset(self.config(tmp_path, **{tsv: repeated})))
+        assert (queries if tsv == "queries" else passages)[key] == "its last text"
+        malformed = named + "unused\tunused text\nunused without a tab\n"
+        with pytest.raises(FormatError, match="expected id<TAB>text") as excinfo:
+            _load_dataset(self.config(tmp_path, **{tsv: malformed}))
+        assert excinfo.value.line == named.count("\n") + 2
 
 
 class TestConfigParsing:

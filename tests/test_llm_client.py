@@ -434,6 +434,36 @@ class TestTransport:
                 self.ask(oracle)
         assert server.connections == 3
 
+    def test_a_send_that_fails_on_a_reused_connection_is_sent_once_more(
+        self, server, monkeypatch
+    ):
+        sendall = socket.socket.sendall
+        failures = []  # one entry for each of the oracle's next sends that fails
+
+        with llm_oracle(endpoint_for(server), "q", CANDIDATES) as oracle:
+
+            def failing_sendall(sock, data, *args):
+                if failures and sock is oracle._connection._sock:
+                    failures.pop()
+                    raise BrokenPipeError(32, "Broken pipe")
+                return sendall(sock, data, *args)
+
+            monkeypatch.setattr(socket.socket, "sendall", failing_sendall)
+            assert self.ask(oracle) == [Preference.FIRST]
+            # The kept socket's send fails: sent again on a fresh connection,
+            # which is no retry, so the call succeeds at retries=0.
+            failures.append(1)
+            assert self.ask(oracle) == [Preference.FIRST]
+            assert (len(server.requests), server.connections) == (2, 2)
+            # On a fresh connection the same failure is a BackendFailure.
+            oracle._connection.close()
+            failures.append(1)
+            with pytest.raises(BackendFailure, match="Broken pipe"):
+                self.ask(oracle)
+        assert failures == []
+        assert wait_for(lambda: server.connections == 3)
+        assert len(server.requests) == 2
+
     @pytest.mark.parametrize(
         "response, error",
         [

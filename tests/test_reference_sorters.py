@@ -35,6 +35,7 @@ from prp_sort import (
     quicksort_topk,
     select_pivot,
 )
+from prp_sort.oracles import LlmOracle
 from prp_sort.seeding import stable_seed
 from helpers import RecordingExecutor
 
@@ -301,5 +302,75 @@ def test_an_outside_judges_batch_of_the_wrong_answers_is_rejected(batch, error, 
             batch_partition(list(DOCS), 0, len(DOCS) - 1, 0, executor, judge)
         else:
             SORTS["quicksort"](judge, executor)
+    assert executor.ledger.inference_calls == 0
+    assert executor._memo == ({} if use_cache else None)
+
+
+class _BatchFieldJudge(_FieldJudge):
+    """A ``_FieldJudge`` with a ``compare_batch`` of its own, which reads the
+    fields of every request it is handed."""
+
+    def compare_batch(self, reqs):
+        self.types.update(map(type, reqs))
+        return [self.score.compare((req.first, req.second)) for req in reqs]
+
+
+def test_only_the_methods_an_outside_class_body_defines_are_wrapped():
+    for cls in (Oracle, ScoreOracle, NoisyOracle, LlmOracle):
+        for name in ("compare", "compare_batch"):
+            assert not hasattr(getattr(cls, name), "__wrapped__"), (cls, name)
+    assert _FieldJudge.compare.__qualname__ == "_FieldJudge.compare"
+    assert _FieldJudge.compare.__wrapped__.__qualname__ == "_FieldJudge.compare"
+    assert _FieldJudge.compare_batch is Oracle.compare_batch
+    assert _BatchFieldJudge.compare is _FieldJudge.compare
+    assert _BatchFieldJudge.compare_batch.__wrapped__.__name__ == "compare_batch"
+
+    class Scored(ScoreOracle):
+        """An outside subclass that overrides neither method."""
+
+    assert Scored.compare is ScoreOracle.compare
+    assert Scored.compare_batch is Oracle.compare_batch
+
+
+@pytest.mark.parametrize("judge_type", [_FieldJudge, _BatchFieldJudge])
+@pytest.mark.parametrize("use_cache", [False, True], ids=["no-cache", "cache"])
+def test_an_outside_judge_asked_through_the_executor_directly_gets_requests(
+    judge_type, use_cache
+):
+    judge = judge_type({doc: -rank for rank, doc in enumerate(DOCS)})
+    executor = BatchExecutor(3, use_cache)
+    assert executor.ask(judge, ("d0", "d1")) is Preference.FIRST
+    assert executor.submit_group(judge, [("d2", "d1")]) == [Preference.SECOND]
+    group = [("d3", "d2"), ("d0", "d4"), ("d5", "d6"), ("d7", "d1")]
+    expected = [Preference.SECOND, Preference.FIRST, Preference.FIRST, Preference.SECOND]
+    assert executor.submit_group(judge, group) == expected
+    assert judge.types == {ComparisonRequest}
+    assert executor.ledger.inference_calls == 4
+
+
+@pytest.mark.parametrize(
+    "judge, ask, error",
+    [
+        (_Answers(None), lambda executor, judge: executor.ask(judge, ("d0", "d1")), "None"),
+        (
+            _Answers(None),
+            lambda executor, judge: executor.submit_group(judge, [("d0", "d1")]),
+            "None",
+        ),
+        (
+            _Answers(Preference.FIRST, lambda reqs: [Preference.FIRST, "SECOND"]),
+            lambda executor, judge: executor.submit_group(judge, [("d0", "d1"), ("d2", "d3")]),
+            "'SECOND'",
+        ),
+    ],
+    ids=["ask", "submit_group", "submit_group-batch"],
+)
+@pytest.mark.parametrize("use_cache", [False, True], ids=["no-cache", "cache"])
+def test_an_outside_judges_answer_asked_directly_is_checked_before_it_is_counted(
+    judge, ask, error, use_cache
+):
+    executor = BatchExecutor(2, use_cache=use_cache)
+    with pytest.raises(InvalidConfig, match=f"_Answers answered {error}, not a Preference"):
+        ask(executor, judge)
     assert executor.ledger.inference_calls == 0
     assert executor._memo == ({} if use_cache else None)
